@@ -3,7 +3,9 @@
 Angles are measured in turns: an entry of 1 is a smooth point (cone angle
 2*pi), 1/2 is a cone of angle pi, 3/2 a cone of angle 3*pi.  Everything
 runs on `fractions.Fraction`; floats are rejected outright so that every
-comparison in the decision procedure is exact.
+comparison in the decision procedure is exact.  `scaled_admissible` runs
+the same rules in `int` arithmetic on numerators over a common
+denominator, for loops that decide many such vectors.
 
 A vector of cone angles admits a spherical cone metric on the sphere
 exactly when, after discarding unit entries, one of these holds for the
@@ -211,6 +213,49 @@ def l1_distance_to_odd_lattice(x: Iterable) -> OddLatticeResult:
         fl = math.floor(vals[i])
         nearest[i] = fl + 1 if vals[i] - fl <= HALF else fl
     return OddLatticeResult(distance=distance, nearest=tuple(nearest))
+
+
+def scaled_odd_lattice_distance(shifted: Sequence[int], scale: int) -> int:
+    """`l1_distance_to_odd_lattice` of `shifted / scale`, times `scale`.
+
+    The same rounding rule in `int` arithmetic: coordinate x costs
+    min(r, scale - r) for r = x mod scale, and when the rounded sum is
+    even the cheapest parity flip adds scale - 2 * cost.
+    """
+    total = 0
+    parity = 0
+    flip = scale
+    for x in shifted:
+        q, r = divmod(x, scale)
+        if 2 * r <= scale:
+            cost = r
+        else:
+            cost = scale - r
+            q += 1
+        total += cost
+        parity ^= q & 1
+        if scale - 2 * cost < flip:
+            flip = scale - 2 * cost
+    return total if parity else total + flip
+
+
+def scaled_admissible(scaled: Sequence[int], scale: int) -> bool | None:
+    """`decide_admissible(scaled / scale).admissible`, or None at distance 1.
+
+    An exact integer screen for hot loops over angles with a common
+    denominator `scale`: it settles the EMPTY and A cases and every
+    rejection before the distance-1 split, and returns None where
+    `decide_admissible` would go on to cases B, C and D.
+    """
+    shifted = [x - scale for x in scaled if x != scale]
+    if not shifted:
+        return True
+    if len(shifted) == 1 or 2 * scale + sum(shifted) <= 0:
+        return False
+    dist = scaled_odd_lattice_distance(shifted, scale)
+    if dist == scale:
+        return None
+    return dist > scale
 
 
 def rational_gcd(values: Iterable) -> Fraction:

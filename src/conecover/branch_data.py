@@ -200,6 +200,14 @@ def validate_datum(datum: BranchDatum) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
+def require_valid(datum: BranchDatum) -> None:
+    """Raise ValueError listing every violation when the datum is invalid."""
+    report = validate_datum(datum)
+    if not report.ok:
+        problems = "; ".join(v.message for v in report.violations)
+        raise ValueError(f"datum fails validation: {problems}")
+
+
 @lru_cache(maxsize=None)
 def _partitions(total: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     # Reverse-lexicographic enumeration, memoized per (sum, max part).

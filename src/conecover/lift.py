@@ -12,6 +12,7 @@ recheck with the admissibility decision alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +24,9 @@ from .angles import (
     angles_to_json,
     as_angles,
     decide_admissible,
+    scaled_admissible,
 )
-from .branch_data import BranchDatum, validate_datum
+from .branch_data import BranchDatum, require_valid, validate_datum
 
 
 class CertificationRefused(Exception):
@@ -95,10 +97,7 @@ def certify_exceptional(datum: BranchDatum, beta: Iterable) -> ExceptionalityCer
     CertificationRefused when the vector is not admissible or its lift
     still is.
     """
-    report = validate_datum(datum)
-    if not report.ok:
-        problems = "; ".join(v.message for v in report.violations)
-        raise ValueError(f"datum fails validation: {problems}")
+    require_valid(datum)
     vals = as_angles(beta)
     base_verdict = decide_admissible(vals)
     if not base_verdict.admissible:
@@ -138,17 +137,37 @@ def _grid_values(max_numerator: int, max_denominator: int) -> tuple[Fraction, ..
     return tuple(sorted(values))
 
 
+def _grid_scale(max_denominator: int) -> int:
+    # The least common denominator of every grid entry.
+    return math.lcm(*range(1, max_denominator + 1))
+
+
+def _scaled(vec: Iterable[Fraction], scale: int) -> list[int]:
+    # The entries' numerators over the common denominator `scale`.
+    return [v.numerator * (scale // v.denominator) for v in vec]
+
+
 @lru_cache(maxsize=None)
 def _admissible_grid(n: int, max_numerator: int, max_denominator: int
                      ) -> tuple[tuple[Fraction, ...], ...]:
     # Candidate base vectors ordered by (largest denominator, lexicographic),
     # pre-filtered to the admissible ones; inadmissible bases never certify.
+    # The vectors whose largest denominator is q come out in order from the
+    # lexicographic product of the values with denominator <= q.
     values = _grid_values(max_numerator, max_denominator)
-    ordered = sorted(
-        itertools.product(values, repeat=n),
-        key=lambda t: (max(e.denominator for e in t), t),
-    )
-    return tuple(t for t in ordered if decide_admissible(t).admissible)
+    scale = _grid_scale(max_denominator)
+    grid = []
+    for q in range(1, max_denominator + 1):
+        pool = [v for v in values if v.denominator <= q]
+        for vec in itertools.product(pool, repeat=n):
+            if all(v.denominator != q for v in vec):
+                continue
+            admissible = scaled_admissible(_scaled(vec, scale), scale)
+            if admissible is None:
+                admissible = decide_admissible(vec).admissible
+            if admissible:
+                grid.append(vec)
+    return tuple(grid)
 
 
 def _family_candidates(datum: BranchDatum) -> list[tuple[Fraction, ...]]:
@@ -188,27 +207,21 @@ def search_certificate(
     denominator and then lexicographically.  The first certificate found
     is returned, so identical inputs give identical output.
     """
-    report = validate_datum(datum)
-    if not report.ok:
-        problems = "; ".join(v.message for v in report.violations)
-        raise ValueError(f"datum fails validation: {problems}")
+    require_valid(datum)
     n = len(datum.rows)
 
-    def try_one(vals: tuple[Fraction, ...], checked: bool
-                ) -> ExceptionalityCertificate | None:
-        base_verdict = decide_admissible(vals) if not checked else None
-        if base_verdict is not None and not base_verdict.admissible:
-            return None
+    def try_one(vals: tuple[Fraction, ...]) -> ExceptionalityCertificate | None:
         lifted = lift_angles(vals, datum)
         lifted_verdict = decide_admissible(lifted)
         if lifted_verdict.admissible:
             return None
-        if base_verdict is None:
-            base_verdict = decide_admissible(vals)
+        base_verdict = decide_admissible(vals)
+        if not base_verdict.admissible:
+            return None
         return ExceptionalityCertificate(datum, vals, base_verdict, lifted, lifted_verdict)
 
     for cand in _family_candidates(datum):
-        found = try_one(cand, checked=False)
+        found = try_one(cand)
         if found is not None:
             return found
     for cand in extra_candidates:
@@ -217,11 +230,18 @@ def search_certificate(
             raise ValueError(
                 f"extra candidate {vals} has {len(vals)} entries for {n} rows"
             )
-        found = try_one(vals, checked=False)
+        found = try_one(vals)
         if found is not None:
             return found
+    # Grid lifts are screened in integers over the grid's common denominator;
+    # only those not settled as admissible go through `try_one`.
+    scale = _grid_scale(max_denominator)
+    rows = [row.parts for row in datum.rows]
     for cand in _admissible_grid(n, max_numerator, max_denominator):
-        found = try_one(cand, checked=True)
+        lifted = [m * x for x, parts in zip(_scaled(cand, scale), rows) for m in parts]
+        if scaled_admissible(lifted, scale):
+            continue
+        found = try_one(cand)
         if found is not None:
             return found
     return None

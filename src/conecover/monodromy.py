@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
 
-from .branch_data import BranchDatum, Partition, validate_datum
+from .branch_data import BranchDatum, Partition, require_valid
 
 DEFAULT_BUDGET = 10**8
 
@@ -198,7 +198,12 @@ def _class_images(parts: tuple[int, ...], degree: int) -> Iterator[tuple[int, ..
             counts[length] += 1
         used[lead] = False
 
-    yield from rec(0)
+    # rec refers to itself through its closure cell; emptying the cell on
+    # the way out frees it by reference counting instead of leaving a cycle.
+    try:
+        yield from rec(0)
+    finally:
+        del rec
 
 
 def conjugacy_class_iter(t, degree: int) -> Iterator[Permutation]:
@@ -241,10 +246,7 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     deterministic), UNREALIZABLE when the space is exhausted, or UNKNOWN
     when the node budget runs out first.  `budget` of None never stops.
     """
-    report = validate_datum(datum)
-    if not report.ok:
-        problems = "; ".join(v.message for v in report.violations)
-        raise ValueError(f"datum fails validation: {problems}")
+    require_valid(datum)
     d = datum.degree
     rows = [row.parts for row in datum.rows]
     n = len(rows)
@@ -297,8 +299,13 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
         assign[pos] = None
         return False
 
-    if search(0):
-        witness = tuple(assign)  # type: ignore[assignment]
+    # search refers to itself through its closure cell; emptying the cell
+    # frees it by reference counting instead of leaving a cycle.
+    try:
+        if search(0):
+            witness = tuple(assign)  # type: ignore[assignment]
+    finally:
+        del search
     if witness is not None:
         perms = tuple(Permutation(images) for images in witness)
         return OracleResult(REALIZABLE, MonodromyWitness(d, perms), nodes)

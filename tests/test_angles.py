@@ -1,5 +1,6 @@
 """Admissibility decision, odd-lattice distance, and angle parsing."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -14,17 +15,27 @@ from conecover import (
     CASE_NONE,
     AdmissibilityVerdict,
     AngleParseError,
+    BranchDatum,
     coaxial_check,
     decide_admissible,
     format_angles,
     gauss_bonnet_margin,
     l1_distance_to_odd_lattice,
+    lift_angles,
     parse_angles,
+    partitions_of,
     rational_gcd,
     strip_units,
     troyanov_admissible,
 )
-from conecover.angles import angles_from_json, angles_to_json, as_angles, parse_fraction
+from conecover.angles import (
+    angles_from_json,
+    angles_to_json,
+    as_angles,
+    parse_fraction,
+    scaled_admissible,
+    scaled_odd_lattice_distance,
+)
 
 from oracles import odd_box_distance
 
@@ -70,6 +81,62 @@ def test_lattice_matches_exhaustive_box(vec):
     assert len(r.nearest) == len(vec)
     assert sum(r.nearest) % 2 == 1
     assert sum(abs(F(x) - a) for x, a in zip(vec, r.nearest)) == r.distance
+    scale = math.lcm(*(F(x).denominator for x in vec))
+    scaled = [int(F(x) * scale) for x in vec]
+    assert scaled_odd_lattice_distance(scaled, scale) == r.distance * scale
+
+
+def check_screen(beta, scale):
+    """scaled_admissible against decide_admissible, its distance against the box."""
+    scaled = [int(b * scale) for b in beta]
+    verdict = decide_admissible(beta)
+    screened = scaled_admissible(scaled, scale)
+    at_one = verdict.lattice is not None and verdict.lattice.distance == 1
+    assert (screened is None) == at_one
+    if screened is not None:
+        assert screened == verdict.admissible
+    shifted = [x - scale for x in scaled if x != scale]
+    if shifted:
+        assert scaled_odd_lattice_distance(shifted, scale) == (
+            odd_box_distance([F(x, scale) for x in shifted]) * scale)
+    return screened
+
+
+@pytest.mark.parametrize("beta, expected", [
+    ((1, 1), True),                   # EMPTY
+    ((3, 1), False),                  # one leftover angle, at distance 1
+    ((F(1, 2),) * 4, False),          # distance 2 but a zero margin
+    ((F(1, 2),) * 3, True),           # A
+    ((F(1, 2), F(2, 3)), False),      # distance 5/6
+    ((F(1, 2), F(1, 2)), None),       # distance 1: B
+    ((2, 2), None),                   # distance 1: C
+])
+def test_scaled_admissible_boundaries(beta, expected):
+    assert check_screen(beta, 60) is expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_scaled_admissible_matches_decide(data):
+    # small denominators reach the boundaries: units, distance exactly 1;
+    # larger ones leave the default grid
+    angle = st.one_of(
+        st.fractions(min_value=F(1, 6), max_value=4, max_denominator=6),
+        st.fractions(min_value=F(1, 30), max_value=5, max_denominator=30),
+    )
+    if data.draw(st.booleans()):
+        beta = data.draw(st.lists(angle, min_size=1, max_size=8))
+    else:
+        # a lift through a random (possibly invalid) datum, as in the search
+        degree = data.draw(st.integers(min_value=1, max_value=8))
+        rows = data.draw(st.lists(st.sampled_from(partitions_of(degree)),
+                                  min_size=1, max_size=4))
+        base = data.draw(st.lists(angle, min_size=len(rows), max_size=len(rows)))
+        beta = lift_angles(base, BranchDatum(degree, tuple(rows)))
+    # any common denominator works, not only the least one
+    scale = math.lcm(*(b.denominator for b in beta)) * data.draw(
+        st.integers(min_value=1, max_value=3))
+    check_screen(beta, scale)
 
 
 # ----------------------------------------------------------------- pieces

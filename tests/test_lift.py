@@ -1,6 +1,7 @@
 """Angle lifting, exceptionality certificates, and the certificate search."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -166,6 +167,17 @@ def test_search_candidate_order(monkeypatch):
     cert = search_certificate(D4)
     assert cert is not None
     assert verify_certificate(cert)
+
+
+def test_grid_order_is_frozen():
+    # the first certificate found depends on this order
+    for n, size, digest in (
+        (2, 23, "c19148dd5106fa1fa6f748b334cdf66e112934512f268b67aeeb2ee755067252"),
+        (3, 3360, "9efe5a23fa40841b071bc4bed60832bba37c4e9494e7c9e1b55d3e79bfb90186"),
+    ):
+        grid = lift_mod._admissible_grid(n, 6, 6)
+        assert len(grid) == size
+        assert hashlib.sha256(str(grid).encode()).hexdigest() == digest
 
 
 def test_search_agrees_with_oracle_at_tiny_degree():

@@ -1,5 +1,6 @@
 """Permutation algebra, conjugacy classes, and the realizability oracle."""
 
+import gc
 import math
 
 import pytest
@@ -160,6 +161,19 @@ def test_oracle_is_row_order_invariant():
         assert verify_witness(datum, r.witness.perms)
         for p, row in zip(r.witness.perms, datum.rows):
             assert cycle_type(p) == row
+
+
+def test_oracle_leaves_no_cyclic_garbage():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for datum in (KLEIN, D9):
+            gc.collect()
+            find_witness(datum)
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_oracle_rejects_invalid_datum():
