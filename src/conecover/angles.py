@@ -1,11 +1,13 @@
 """Exact cone-angle arithmetic and the admissibility decision.
 
 Angles are measured in turns: an entry of 1 is a smooth point (cone angle
-2*pi), 1/2 is a cone of angle pi, 3/2 a cone of angle 3*pi.  Everything
-runs on `fractions.Fraction`; floats are rejected outright so that every
-comparison in the decision procedure is exact.  `scaled_admissible` runs
-the same rules in `int` arithmetic on numerators over a common
-denominator, for loops that decide many such vectors.
+2*pi), 1/2 is a cone of angle pi, 3/2 a cone of angle 3*pi.  Inputs and
+outputs are exact `fractions.Fraction` values; floats are rejected
+outright.  The rules themselves run once, in `decide_scaled`, on `int`
+numerators over a common denominator, so every comparison is exact.
+`decide_admissible` and `l1_distance_to_odd_lattice` scale their input
+and wrap the answer; loops that decide many vectors over one denominator
+call `decide_scaled` directly.
 
 A vector of cone angles admits a spherical cone metric on the sphere
 exactly when, after discarding unit entries, one of these holds for the
@@ -48,8 +50,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-HALF = Fraction(1, 2)
-
 CASE_EMPTY = "EMPTY"
 CASE_A = "A"
 CASE_B = "B"
@@ -59,7 +59,7 @@ CASE_NONE = "NONE"
 
 
 class AngleParseError(ValueError):
-    """Raised on malformed angle text or JSON."""
+    """Raised on malformed angle text or JSON, and on non-positive angles."""
 
 
 def _as_rationals(values: Iterable) -> tuple[Fraction, ...]:
@@ -76,8 +76,13 @@ def as_angles(values: Iterable) -> tuple[Fraction, ...]:
     vals = _as_rationals(values)
     for v in vals:
         if v <= 0:
-            raise ValueError(f"cone angles must be positive, got {v}")
+            raise AngleParseError(f"cone angles must be positive, got {v}")
     return vals
+
+
+def scaled_numerators(vals: Iterable[Fraction], scale: int) -> list[int]:
+    """The numerators of `vals` over their common denominator `scale`."""
+    return [v.numerator * (scale // v.denominator) for v in vals]
 
 
 @dataclass(frozen=True)
@@ -195,67 +200,39 @@ def l1_distance_to_odd_lattice(x: Iterable) -> OddLatticeResult:
     vals = _as_rationals(x)
     if not vals:
         raise ValueError("need at least one coordinate")
-    nearest = []
-    fracs = []
-    for v in vals:
-        fl = math.floor(v)
-        fr = v - fl
-        if fr <= HALF:
-            nearest.append(fl)
-            fracs.append(fr)
-        else:
-            nearest.append(fl + 1)
-            fracs.append(1 - fr)
-    distance = sum(fracs, Fraction(0))
-    if sum(nearest) % 2 == 0:
-        i = min(range(len(vals)), key=lambda j: (1 - 2 * fracs[j], j))
-        distance += 1 - 2 * fracs[i]
-        fl = math.floor(vals[i])
-        nearest[i] = fl + 1 if vals[i] - fl <= HALF else fl
-    return OddLatticeResult(distance=distance, nearest=tuple(nearest))
+    scale = math.lcm(*(v.denominator for v in vals))
+    distance, nearest = odd_lattice_scaled(scaled_numerators(vals, scale), scale)
+    return OddLatticeResult(Fraction(distance, scale), tuple(nearest))
 
 
-def scaled_odd_lattice_distance(shifted: Sequence[int], scale: int) -> int:
-    """`l1_distance_to_odd_lattice` of `shifted / scale`, times `scale`.
+def odd_lattice_scaled(x: Sequence[int], scale: int) -> tuple[int, list[int]]:
+    """`l1_distance_to_odd_lattice` of `x / scale`: the distance times
+    `scale`, and the nearest odd-sum vector.
 
-    The same rounding rule in `int` arithmetic: coordinate x costs
-    min(r, scale - r) for r = x mod scale, and when the rounded sum is
-    even the cheapest parity flip adds scale - 2 * cost.
+    Coordinate x_i rounds to q_i at cost min(r, scale - r) for
+    r = x_i mod scale; when the rounded sum is even, the cheapest parity
+    flip adds scale - 2 * cost.
     """
+    nearest = []
     total = 0
-    parity = 0
     flip = scale
-    for x in shifted:
-        q, r = divmod(x, scale)
+    at = 0
+    for i, v in enumerate(x):
+        q, r = divmod(v, scale)
         if 2 * r <= scale:
             cost = r
         else:
             cost = scale - r
             q += 1
+        nearest.append(q)
         total += cost
-        parity ^= q & 1
         if scale - 2 * cost < flip:
             flip = scale - 2 * cost
-    return total if parity else total + flip
-
-
-def scaled_admissible(scaled: Sequence[int], scale: int) -> bool | None:
-    """`decide_admissible(scaled / scale).admissible`, or None at distance 1.
-
-    An exact integer screen for hot loops over angles with a common
-    denominator `scale`: it settles the EMPTY and A cases and every
-    rejection before the distance-1 split, and returns None where
-    `decide_admissible` would go on to cases B, C and D.
-    """
-    shifted = [x - scale for x in scaled if x != scale]
-    if not shifted:
-        return True
-    if len(shifted) == 1 or 2 * scale + sum(shifted) <= 0:
-        return False
-    dist = scaled_odd_lattice_distance(shifted, scale)
-    if dist == scale:
-        return None
-    return dist > scale
+            at = i
+    if sum(nearest) % 2 == 0:
+        total += flip
+        nearest[at] += 1 if 2 * (x[at] % scale) <= scale else -1
+    return total, nearest
 
 
 def rational_gcd(values: Iterable) -> Fraction:
@@ -314,61 +291,68 @@ def coaxial_check(beta: Sequence[Fraction]) -> CoaxialWitness | None:
     return None
 
 
+# Why a vector is not admissible; `{}` takes the value scaled with the reason.
+_SINGLE = "a single non-unit cone angle admits no metric"
+_MARGIN = "Gauss-Bonnet margin {} is not positive"
+_HOLONOMY = "holonomy obstruction: odd-lattice distance {} < 1"
+_INTEGRAL = "integral angles at distance 1 with 2*max(beta-1) > sum(beta-1)"
+_NO_COAXIAL = "mixed angles at distance 1 with no coaxial sign witness"
+_NON_INTEGRAL = "all angles non-integral at distance 1 and not an equal pair"
+
+
+def decide_scaled(nums: Sequence[int], scale: int) -> tuple:
+    """The admissibility rules on the angle vector `nums / scale`.
+
+    Returns (case, lattice, coaxial, why): lattice is (distance * scale,
+    nearest) once the odd-lattice distance has been computed, coaxial the
+    case-D witness, and why, for case NONE, a reason template with the
+    scaled value it formats.  The checks run in a fixed order: strip
+    units, reject a single leftover angle, reject a non-positive
+    Gauss-Bonnet margin, then split on the odd-lattice distance of
+    beta - (1,...,1) as described in the module docstring.
+    """
+    shifted = [v - scale for v in nums if v != scale]
+    if not shifted:
+        return CASE_EMPTY, None, None, None
+    if len(shifted) == 1:
+        return CASE_NONE, None, None, (_SINGLE, 0)
+    margin = 2 * scale + sum(shifted)
+    if margin <= 0:
+        return CASE_NONE, None, None, (_MARGIN, margin)
+    lattice = odd_lattice_scaled(shifted, scale)
+    dist = lattice[0]
+    if dist < scale:
+        return CASE_NONE, lattice, None, (_HOLONOMY, dist)
+    if dist > scale:
+        return CASE_A, lattice, None, None
+    integral = sum(1 for v in shifted if v % scale == 0)
+    if len(shifted) == 2 and shifted[0] == shifted[1] and not integral:
+        return CASE_B, lattice, None, None
+    if integral == len(shifted):
+        if 2 * max(shifted) <= sum(shifted):
+            return CASE_C, lattice, None, None
+        return CASE_NONE, lattice, None, (_INTEGRAL, 0)
+    if integral:
+        witness = coaxial_check([Fraction(v + scale, scale) for v in shifted])
+        if witness is not None:
+            return CASE_D, lattice, witness, None
+        return CASE_NONE, lattice, None, (_NO_COAXIAL, 0)
+    return CASE_NONE, lattice, None, (_NON_INTEGRAL, 0)
+
+
 def decide_admissible(beta: Iterable) -> AdmissibilityVerdict:
     """Decide whether the angle vector admits a spherical cone metric.
 
-    The checks run in a fixed order: strip units, reject a single
-    leftover angle, reject a non-positive Gauss-Bonnet margin, then split
-    on the odd-lattice distance of beta - (1,...,1) as described in the
-    module docstring.
+    Runs `decide_scaled` over the least common denominator and returns
+    its answer as a verdict with exact values.
     """
     vals = as_angles(beta)
-    stripped = tuple(b for b in vals if b != 1)
-    if not stripped:
-        return AdmissibilityVerdict(True, CASE_EMPTY)
-    if len(stripped) == 1:
-        return AdmissibilityVerdict(
-            False, CASE_NONE,
-            reason="a single non-unit cone angle admits no metric",
-        )
-    margin = gauss_bonnet_margin(vals)
-    if margin <= 0:
-        return AdmissibilityVerdict(
-            False, CASE_NONE,
-            reason=f"Gauss-Bonnet margin {margin} is not positive",
-        )
-    lattice = l1_distance_to_odd_lattice(tuple(b - 1 for b in stripped))
-    dist = lattice.distance
-    if dist < 1:
-        return AdmissibilityVerdict(
-            False, CASE_NONE, lattice,
-            reason=f"holonomy obstruction: odd-lattice distance {dist} < 1",
-        )
-    if dist > 1:
-        return AdmissibilityVerdict(True, CASE_A, lattice)
-    nonint = [b for b in stripped if b.denominator != 1]
-    if len(stripped) == 2 and stripped[0] == stripped[1] and nonint:
-        return AdmissibilityVerdict(True, CASE_B, lattice)
-    if not nonint:
-        total = sum(b - 1 for b in stripped)
-        if 2 * (max(stripped) - 1) <= total:
-            return AdmissibilityVerdict(True, CASE_C, lattice)
-        return AdmissibilityVerdict(
-            False, CASE_NONE, lattice,
-            reason="integral angles at distance 1 with 2*max(beta-1) > sum(beta-1)",
-        )
-    if len(nonint) < len(stripped):
-        witness = coaxial_check(stripped)
-        if witness is not None:
-            return AdmissibilityVerdict(True, CASE_D, lattice, coaxial=witness)
-        return AdmissibilityVerdict(
-            False, CASE_NONE, lattice,
-            reason="mixed angles at distance 1 with no coaxial sign witness",
-        )
-    return AdmissibilityVerdict(
-        False, CASE_NONE, lattice,
-        reason="all angles non-integral at distance 1 and not an equal pair",
-    )
+    scale = math.lcm(*(v.denominator for v in vals))
+    case, lattice, coaxial, why = decide_scaled(scaled_numerators(vals, scale), scale)
+    if lattice is not None:
+        lattice = OddLatticeResult(Fraction(lattice[0], scale), tuple(lattice[1]))
+    reason = None if why is None else why[0].format(Fraction(why[1], scale))
+    return AdmissibilityVerdict(case != CASE_NONE, case, lattice, coaxial, reason)
 
 
 def troyanov_admissible(beta: Iterable) -> bool:
@@ -426,11 +410,7 @@ def parse_angles(text: str) -> tuple[Fraction, ...]:
     tokens = [t.strip() for t in text.split(",")]
     if tokens == [""]:
         raise AngleParseError("empty angle vector")
-    values = tuple(parse_fraction(t) for t in tokens)
-    for v in values:
-        if v <= 0:
-            raise AngleParseError(f"cone angles must be positive, got {v}")
-    return values
+    return as_angles([parse_fraction(t) for t in tokens])
 
 
 def format_angles(beta: Iterable) -> str:
@@ -445,8 +425,4 @@ def angles_to_json(beta: Iterable) -> list[str]:
 def angles_from_json(obj) -> tuple[Fraction, ...]:
     if not isinstance(obj, list) or not obj:
         raise AngleParseError("angle JSON must be a non-empty list")
-    values = tuple(parse_fraction(v) for v in obj)
-    for v in values:
-        if v <= 0:
-            raise AngleParseError(f"cone angles must be positive, got {v}")
-    return values
+    return as_angles([parse_fraction(v) for v in obj])

@@ -23,15 +23,7 @@ from .branch_data import (
     parse_datum,
     validate_datum,
 )
-from .families import (
-    FAMILY_IDS,
-    all_instances,
-    family_2k,
-    family_2k_twos,
-    family_3k,
-    family_rk,
-    family_rk_split,
-)
+from .families import FAMILIES, FAMILY_IDS, all_instances
 from .lift import (
     CertificationRefused,
     ExceptionalityCertificate,
@@ -208,28 +200,12 @@ def _parse_params(text: str) -> dict[str, int]:
 
 
 def _build_family(family_id: str, params: dict[str, int]):
-    need = {
-        "P2K_A": ("k", "k1", "k2"),
-        "P2K_B": ("k", "j1", "j2"),
-        "P3K": ("k",),
-        "PRK_A": ("r", "k"),
-        "PRK_B": ("r", "k", "j1", "j2"),
-    }[family_id]
-    missing = [name for name in need if name not in params]
-    extra = [name for name in params if name not in need]
-    if missing or extra:
+    builder, need = FAMILIES[family_id]
+    if set(params) != set(need):
         raise ValueError(
             f"family {family_id} takes parameters {','.join(need)}"
         )
-    args = tuple(params[name] for name in need)
-    builder = {
-        "P2K_A": family_2k,
-        "P2K_B": family_2k_twos,
-        "P3K": family_3k,
-        "PRK_A": family_rk,
-        "PRK_B": family_rk_split,
-    }[family_id]
-    return builder(*args)
+    return builder(*(params[name] for name in need))
 
 
 def cmd_families(args) -> int:

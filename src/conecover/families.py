@@ -27,8 +27,6 @@ from .angles import angles_to_json
 from .branch_data import BranchDatum, Partition
 from .lift import ExceptionalityCertificate, certify_exceptional
 
-FAMILY_IDS = ("P2K_A", "P2K_B", "P3K", "PRK_A", "PRK_B")
-
 
 @dataclass(frozen=True)
 class FamilyInstance:
@@ -127,6 +125,17 @@ def family_rk_split(r: int, k: int, j1: int, j2: int) -> FamilyInstance:
     ))
     return FamilyInstance("PRK_B", (("r", r), ("k", k), ("j1", j1), ("j2", j2)),
                           datum, (Fraction(1), Fraction(1, r), Fraction(1, r)))
+
+
+# family id -> (builder, its parameter names in order)
+FAMILIES = {
+    "P2K_A": (family_2k, ("k", "k1", "k2")),
+    "P2K_B": (family_2k_twos, ("k", "j1", "j2")),
+    "P3K": (family_3k, ("k",)),
+    "PRK_A": (family_rk, ("r", "k")),
+    "PRK_B": (family_rk_split, ("r", "k", "j1", "j2")),
+}
+FAMILY_IDS = tuple(FAMILIES)
 
 
 def _smallest_prime_factor(n: int) -> int:

@@ -19,12 +19,14 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .angles import (
+    CASE_NONE,
     AdmissibilityVerdict,
     angles_from_json,
     angles_to_json,
     as_angles,
     decide_admissible,
-    scaled_admissible,
+    decide_scaled,
+    scaled_numerators,
 )
 from .branch_data import BranchDatum, require_valid, validate_datum
 
@@ -142,11 +144,6 @@ def _grid_scale(max_denominator: int) -> int:
     return math.lcm(*range(1, max_denominator + 1))
 
 
-def _scaled(vec: Iterable[Fraction], scale: int) -> list[int]:
-    # The entries' numerators over the common denominator `scale`.
-    return [v.numerator * (scale // v.denominator) for v in vec]
-
-
 @lru_cache(maxsize=None)
 def _admissible_grid(n: int, max_numerator: int, max_denominator: int
                      ) -> tuple[tuple[Fraction, ...], ...]:
@@ -162,10 +159,7 @@ def _admissible_grid(n: int, max_numerator: int, max_denominator: int
         for vec in itertools.product(pool, repeat=n):
             if all(v.denominator != q for v in vec):
                 continue
-            admissible = scaled_admissible(_scaled(vec, scale), scale)
-            if admissible is None:
-                admissible = decide_admissible(vec).admissible
-            if admissible:
+            if decide_scaled(scaled_numerators(vec, scale), scale)[0] != CASE_NONE:
                 grid.append(vec)
     return tuple(grid)
 
@@ -233,15 +227,13 @@ def search_certificate(
         found = try_one(vals)
         if found is not None:
             return found
-    # Grid lifts are screened in integers over the grid's common denominator;
-    # only those not settled as admissible go through `try_one`.
+    # Every grid vector is admissible, so the first one whose lift is not
+    # certifies; lifts are decided in integers over the grid's denominator.
     scale = _grid_scale(max_denominator)
     rows = [row.parts for row in datum.rows]
     for cand in _admissible_grid(n, max_numerator, max_denominator):
-        lifted = [m * x for x, parts in zip(_scaled(cand, scale), rows) for m in parts]
-        if scaled_admissible(lifted, scale):
-            continue
-        found = try_one(cand)
-        if found is not None:
-            return found
+        nums = scaled_numerators(cand, scale)
+        lifted = [m * x for x, parts in zip(nums, rows) for m in parts]
+        if decide_scaled(lifted, scale)[0] == CASE_NONE:
+            return try_one(cand)
     return None

@@ -9,7 +9,19 @@ from fractions import Fraction
 import itertools
 import math
 
-from conecover import BranchDatum, Permutation, cycle_type, validate_datum
+from conecover import (
+    CASE_A,
+    CASE_B,
+    CASE_C,
+    CASE_D,
+    CASE_EMPTY,
+    CASE_NONE,
+    BranchDatum,
+    Permutation,
+    coaxial_check,
+    cycle_type,
+    validate_datum,
+)
 
 
 def odd_box_distance(vec):
@@ -41,6 +53,32 @@ def odd_box_distance(vec):
                     cur[q] = c
         best = cur
     return Fraction(best[1], scale)
+
+
+def reference_admissible(beta):
+    """(admissible, case) by the rules as the `angles` docstring states them.
+
+    Fraction arithmetic throughout, the distance from `odd_box_distance`,
+    and `coaxial_check` for the case-D sign search.
+    """
+    stripped = [Fraction(b) for b in beta if Fraction(b) != 1]
+    if not stripped:
+        return True, CASE_EMPTY
+    if len(stripped) == 1 or 2 + sum(b - 1 for b in stripped) <= 0:
+        return False, CASE_NONE
+    distance = odd_box_distance([b - 1 for b in stripped])
+    if distance != 1:
+        return (True, CASE_A) if distance > 1 else (False, CASE_NONE)
+    integral = [b for b in stripped if b.denominator == 1]
+    if len(stripped) == 2 and stripped[0] == stripped[1] and not integral:
+        return True, CASE_B
+    if len(integral) == len(stripped):
+        if 2 * (max(stripped) - 1) <= sum(b - 1 for b in stripped):
+            return True, CASE_C
+        return False, CASE_NONE
+    if integral and coaxial_check(stripped) is not None:
+        return True, CASE_D
+    return False, CASE_NONE
 
 
 def all_partitions(n):

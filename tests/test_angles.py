@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conecover import (
     CASE_A,
@@ -32,12 +32,12 @@ from conecover.angles import (
     angles_from_json,
     angles_to_json,
     as_angles,
+    decide_scaled,
     parse_fraction,
-    scaled_admissible,
-    scaled_odd_lattice_distance,
+    scaled_numerators,
 )
 
-from oracles import odd_box_distance
+from oracles import odd_box_distance, reference_admissible
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -81,62 +81,50 @@ def test_lattice_matches_exhaustive_box(vec):
     assert len(r.nearest) == len(vec)
     assert sum(r.nearest) % 2 == 1
     assert sum(abs(F(x) - a) for x, a in zip(vec, r.nearest)) == r.distance
-    scale = math.lcm(*(F(x).denominator for x in vec))
-    scaled = [int(F(x) * scale) for x in vec]
-    assert scaled_odd_lattice_distance(scaled, scale) == r.distance * scale
 
 
-def check_screen(beta, scale):
-    """scaled_admissible against decide_admissible, its distance against the box."""
-    scaled = [int(b * scale) for b in beta]
-    verdict = decide_admissible(beta)
-    screened = scaled_admissible(scaled, scale)
-    at_one = verdict.lattice is not None and verdict.lattice.distance == 1
-    assert (screened is None) == at_one
-    if screened is not None:
-        assert screened == verdict.admissible
-    shifted = [x - scale for x in scaled if x != scale]
-    if shifted:
-        assert scaled_odd_lattice_distance(shifted, scale) == (
-            odd_box_distance([F(x, scale) for x in shifted]) * scale)
-    return screened
+# small denominators reach the boundaries: units, distance exactly 1;
+# larger ones leave the default grid
+angle = st.one_of(
+    st.fractions(min_value=F(1, 6), max_value=4, max_denominator=6),
+    st.fractions(min_value=F(1, 30), max_value=5, max_denominator=30),
+)
 
 
-@pytest.mark.parametrize("beta, expected", [
-    ((1, 1), True),                   # EMPTY
-    ((3, 1), False),                  # one leftover angle, at distance 1
-    ((F(1, 2),) * 4, False),          # distance 2 but a zero margin
-    ((F(1, 2),) * 3, True),           # A
-    ((F(1, 2), F(2, 3)), False),      # distance 5/6
-    ((F(1, 2), F(1, 2)), None),       # distance 1: B
-    ((2, 2), None),                   # distance 1: C
-])
-def test_scaled_admissible_boundaries(beta, expected):
-    assert check_screen(beta, 60) is expected
+@st.composite
+def angle_vectors(draw):
+    if draw(st.booleans()):
+        return draw(st.lists(angle, min_size=1, max_size=8))
+    # a lift through a random (possibly invalid) datum, as in the search
+    degree = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.lists(st.sampled_from(partitions_of(degree)),
+                         min_size=1, max_size=4))
+    base = draw(st.lists(angle, min_size=len(rows), max_size=len(rows)))
+    return lift_angles(base, BranchDatum(degree, tuple(rows)))
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_scaled_admissible_matches_decide(data):
-    # small denominators reach the boundaries: units, distance exactly 1;
-    # larger ones leave the default grid
-    angle = st.one_of(
-        st.fractions(min_value=F(1, 6), max_value=4, max_denominator=6),
-        st.fractions(min_value=F(1, 30), max_value=5, max_denominator=30),
-    )
-    if data.draw(st.booleans()):
-        beta = data.draw(st.lists(angle, min_size=1, max_size=8))
-    else:
-        # a lift through a random (possibly invalid) datum, as in the search
-        degree = data.draw(st.integers(min_value=1, max_value=8))
-        rows = data.draw(st.lists(st.sampled_from(partitions_of(degree)),
-                                  min_size=1, max_size=4))
-        base = data.draw(st.lists(angle, min_size=len(rows), max_size=len(rows)))
-        beta = lift_angles(base, BranchDatum(degree, tuple(rows)))
-    # any common denominator works, not only the least one
-    scale = math.lcm(*(b.denominator for b in beta)) * data.draw(
-        st.integers(min_value=1, max_value=3))
-    check_screen(beta, scale)
+@given(angle_vectors())
+@example((1, 1))                     # EMPTY
+@example((3, 1))                     # one leftover angle, at distance 1
+@example((F(1, 2),) * 4)             # distance 2 but a zero margin
+@example((F(1, 2),) * 3)             # A
+@example((F(1, 2), F(2, 3)))         # distance 5/6
+@example((F(1, 2), F(1, 2)))         # distance 1: B
+@example((2, 2))                     # distance 1: C
+def test_decide_matches_reference(beta):
+    verdict = decide_admissible(beta)
+    assert (verdict.admissible, verdict.case) == reference_admissible(beta)
+    # the grid search decides over a common denominator that need not be least
+    scale = 60 * math.lcm(*(F(b).denominator for b in beta))
+    assert decide_scaled(scaled_numerators(beta, scale), scale)[0] == verdict.case
+    if verdict.lattice is not None:
+        shifted = [F(b) - 1 for b in beta if b != 1]
+        distance = verdict.lattice.distance
+        nearest = verdict.lattice.nearest
+        assert distance == odd_box_distance(shifted)
+        assert sum(nearest) % 2 == 1
+        assert sum(abs(x - a) for x, a in zip(shifted, nearest)) == distance
 
 
 # ----------------------------------------------------------------- pieces
@@ -174,7 +162,6 @@ def test_rational_gcd_divides_and_is_maximal(vals):
     g = rational_gcd(vals)
     ratios = [v / g for v in vals]
     assert all(r.denominator == 1 for r in ratios)
-    import math
     assert math.gcd(*(int(r) for r in ratios)) == 1
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from conecover import enumerate_data
+from conecover import all_instances, enumerate_data
 from conecover.cli import main
 
 D4 = "4: 3,1 | 2,2 | 2,2"
@@ -208,13 +208,23 @@ def test_families_single_instance(capsys):
     assert blob["recommended_beta"] == ["1/2", "2/3", "2/3"]
 
 
+def test_families_rebuilds_every_instance(capsys):
+    for degree in range(4, 13):
+        for instance in all_instances(degree):
+            params = ",".join(f"{name}={value}" for name, value in instance.params)
+            code, out, _ = invoke(capsys, "families", "--family", instance.family_id,
+                                  "--params", params)
+            assert code == 0
+            assert json.loads(out) == instance.to_json()
+
+
 def test_families_bad_parameters(capsys):
     code, _, err = invoke(capsys, "families", "--family", "P3K",
                           "--params", "k=4")
     assert code == 2 and "error:" in err
 
     code, _, err = invoke(capsys, "families", "--family", "P3K")
-    assert code == 2 and "error:" in err
+    assert code == 2 and "error: family P3K takes parameters k" in err
 
     with pytest.raises(SystemExit) as exc:
         invoke(capsys, "families", "--family", "NOPE", "--params", "k=3")
