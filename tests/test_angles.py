@@ -115,9 +115,6 @@ def angle_vectors(draw):
 def test_decide_matches_reference(beta):
     verdict = decide_admissible(beta)
     assert (verdict.admissible, verdict.case) == reference_admissible(beta)
-    # the grid search decides over a common denominator that need not be least
-    scale = 60 * math.lcm(*(F(b).denominator for b in beta))
-    assert decide_scaled(scaled_numerators(beta, scale), scale)[0] == verdict.case
     if verdict.lattice is not None:
         shifted = [F(b) - 1 for b in beta if b != 1]
         distance = verdict.lattice.distance
@@ -125,6 +122,46 @@ def test_decide_matches_reference(beta):
         assert distance == odd_box_distance(shifted)
         assert sum(nearest) % 2 == 1
         assert sum(abs(x - a) for x, a in zip(shifted, nearest)) == distance
+
+
+def check_scaled(beta, scale):
+    """decide_scaled over `scale` against decide_admissible and the reference.
+
+    Returns the verdict, or None where the odd-lattice distance is exactly
+    1 and the boundary cases B, C and D decide.
+    """
+    verdict = decide_admissible(beta)
+    assert (verdict.admissible, verdict.case) == reference_admissible(beta)
+    case, lattice, coaxial, why = decide_scaled(scaled_numerators(beta, scale), scale)
+    assert case == verdict.case
+    assert coaxial == verdict.coaxial
+    assert (None if why is None else why[0].format(F(why[1], scale))) == verdict.reason
+    if lattice is None:
+        assert verdict.lattice is None
+        return verdict.admissible
+    assert F(lattice[0], scale) == verdict.lattice.distance
+    assert tuple(lattice[1]) == verdict.lattice.nearest
+    return None if lattice[0] == scale else verdict.admissible
+
+
+@pytest.mark.parametrize("beta, expected", [
+    ((1, 1), True),                   # EMPTY
+    ((3, 1), False),                  # one leftover angle, at distance 1
+    ((F(1, 2),) * 4, False),          # distance 2 but a zero margin
+    ((F(1, 2),) * 3, True),           # A
+    ((F(1, 2), F(2, 3)), False),      # distance 5/6
+    ((F(1, 2), F(1, 2)), None),       # distance 1: B
+    ((2, 2), None),                   # distance 1: C
+])
+def test_scaled_admissible_boundaries(beta, expected):
+    assert check_scaled(beta, 60) is expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(angle_vectors(), st.integers(min_value=1, max_value=3))
+def test_scaled_admissible_matches_decide(beta, factor):
+    # the grid search decides over a common denominator that need not be least
+    check_scaled(beta, math.lcm(*(F(b).denominator for b in beta)) * factor)
 
 
 # ----------------------------------------------------------------- pieces
