@@ -6,8 +6,9 @@ outputs are exact `fractions.Fraction` values; floats are rejected
 outright.  The rules themselves run once, in `decide_scaled`, on `int`
 numerators over a common denominator, so every comparison is exact.
 `decide_admissible` and `l1_distance_to_odd_lattice` scale their input
-and wrap the answer; loops that decide many vectors over one denominator
-call `decide_scaled` directly.
+and wrap the answer.  The checks up to the odd-lattice distance live in
+`screen_scaled`, on terms that add over a concatenation of vectors, so
+the certificate search can screen a lifted vector from per-row sums.
 
 A vector of cone angles admits a spherical cone metric on the sphere
 exactly when, after discarding unit entries, one of these holds for the
@@ -176,17 +177,6 @@ class AdmissibilityVerdict:
         )
 
 
-def strip_units(beta: Iterable) -> tuple[Fraction, ...]:
-    """Drop entries equal to 1 (smooth points), preserving order."""
-    return tuple(b for b in as_angles(beta) if b != 1)
-
-
-def gauss_bonnet_margin(beta: Iterable) -> Fraction:
-    """The area bound 2 + sum(beta_i - 1); a metric needs this positive."""
-    vals = as_angles(beta)
-    return Fraction(2) + sum((b - 1 for b in vals), Fraction(0))
-
-
 def l1_distance_to_odd_lattice(x: Iterable) -> OddLatticeResult:
     """l1 distance from a rational vector to the odd-sum integer lattice.
 
@@ -205,13 +195,16 @@ def l1_distance_to_odd_lattice(x: Iterable) -> OddLatticeResult:
     return OddLatticeResult(Fraction(distance, scale), tuple(nearest))
 
 
-def odd_lattice_scaled(x: Sequence[int], scale: int) -> tuple[int, list[int]]:
-    """`l1_distance_to_odd_lattice` of `x / scale`: the distance times
-    `scale`, and the nearest odd-sum vector.
+def round_scaled(x: Sequence[int], scale: int) -> tuple[list[int], int, int, int]:
+    """Round `x / scale` to a nearest odd-sum integer vector.
 
-    Coordinate x_i rounds to q_i at cost min(r, scale - r) for
-    r = x_i mod scale; when the rounded sum is even, the cheapest parity
-    flip adds scale - 2 * cost.
+    Returns (nearest, cost, parity, flip).  Each x_i rounds to q_i, ties
+    toward the floor, at cost min(r, scale - r) for r = x_i mod scale;
+    cost sums these and parity is sum(q) mod 2.  flip, scale - 2 * cost_i
+    at its least (`scale` for an empty x), is the cheapest change of that
+    parity; when it is even, nearest makes it at the lowest such index.
+    Over a concatenation of vectors cost and parity add, flip takes the
+    minimum.
     """
     nearest = []
     total = 0
@@ -229,28 +222,18 @@ def odd_lattice_scaled(x: Sequence[int], scale: int) -> tuple[int, list[int]]:
         if scale - 2 * cost < flip:
             flip = scale - 2 * cost
             at = i
-    if sum(nearest) % 2 == 0:
-        total += flip
+    parity = sum(nearest) % 2
+    if not parity and nearest:
         nearest[at] += 1 if 2 * (x[at] % scale) <= scale else -1
-    return total, nearest
+    return nearest, total, parity, flip
 
 
-def rational_gcd(values: Iterable) -> Fraction:
-    """Largest rational dividing every value into an integer.
-
-    Equals gcd(numerators) / lcm(denominators) for reduced fractions.
+def odd_lattice_scaled(x: Sequence[int], scale: int) -> tuple[int, list[int]]:
+    """`l1_distance_to_odd_lattice` of `x / scale`: the distance times
+    `scale`, and the nearest odd-sum vector from `round_scaled`.
     """
-    vals = _as_rationals(values)
-    if not vals:
-        raise ValueError("need at least one value")
-    if any(v <= 0 for v in vals):
-        raise ValueError("values must be positive")
-    num = 0
-    den = 1
-    for v in vals:
-        num = math.gcd(num, v.numerator)
-        den = math.lcm(den, v.denominator)
-    return Fraction(num, den)
+    nearest, cost, parity, flip = round_scaled(x, scale)
+    return (cost if parity else cost + flip), nearest
 
 
 def coaxial_check(beta: Sequence[Fraction]) -> CoaxialWitness | None:
@@ -267,26 +250,32 @@ def coaxial_check(beta: Sequence[Fraction]) -> CoaxialWitness | None:
     if not nonint or not ints:
         raise ValueError("need both integral and non-integral entries")
     n = len(vals)
-    int_sum = sum(ints)
-    int_max = max(ints)
+    int_sum = sum(b.numerator for b in ints)
+    int_max = max(b.numerator for b in ints)
+    # The rational gcd eta of the non-integral entries and k'+k'' ones is
+    # g / lcd: lcd the lcm of the denominators, g the gcd of the numerators,
+    # or 1 once a one is present.  b holds each entry times lcd / g.
+    lcd = math.lcm(*(b.denominator for b in nonint))
+    scaled = [b.numerator * (lcd // b.denominator) for b in nonint]
+    scaled_sum = sum(scaled)
+    gcd = math.gcd(*(b.numerator for b in nonint))
     for signs in itertools.product((1, -1), repeat=len(nonint)):
         k_prime = sum(s * b for s, b in zip(signs, nonint))
         if k_prime < 0 or k_prime.denominator != 1:
             continue
         k_prime = int(k_prime)
-        k_double = int(int_sum) - n - k_prime + 2
+        k_double = int_sum - n - k_prime + 2
         if k_double < 0 or k_double % 2 != 0:
             continue
-        vec = tuple(nonint) + (Fraction(1),) * (k_prime + k_double)
-        eta = rational_gcd(vec)
-        b = tuple(int(v / eta) for v in vec)
-        if 2 * int_max <= sum(b):
+        units = k_prime + k_double
+        g = 1 if units else gcd
+        if 2 * int_max <= scaled_sum // g + lcd * units:
             return CoaxialWitness(
                 signs=signs,
                 k_prime=k_prime,
                 k_double_prime=k_double,
-                eta=eta,
-                b=b,
+                eta=Fraction(g, lcd),
+                b=tuple(v // g for v in scaled) + (lcd,) * units,
             )
     return None
 
@@ -300,31 +289,52 @@ _NO_COAXIAL = "mixed angles at distance 1 with no coaxial sign witness"
 _NON_INTEGRAL = "all angles non-integral at distance 1 and not an equal pair"
 
 
+def screen_scaled(count: int, shift: int, cost: int, parity: int, flip: int,
+                  scale: int) -> tuple:
+    """The rules up to the odd-lattice distance, in their fixed order.
+
+    The terms describe the non-unit entries of a vector over `scale`,
+    shifted by -scale: their number and sum, and the cost, parity and
+    flip of `round_scaled`.  The checks: nothing left, a single angle, a
+    non-positive Gauss-Bonnet margin, then the distance against 1.
+    Returns (case, why, distance), distance scaled and None if not yet
+    needed; case is None at distance exactly 1, where the boundary rules
+    of `decide_scaled` decide.
+    """
+    if count == 0:
+        return CASE_EMPTY, None, None
+    if count == 1:
+        return CASE_NONE, (_SINGLE, 0), None
+    margin = 2 * scale + shift
+    if margin <= 0:
+        return CASE_NONE, (_MARGIN, margin), None
+    distance = cost if parity else cost + flip
+    if distance < scale:
+        return CASE_NONE, (_HOLONOMY, distance), distance
+    if distance > scale:
+        return CASE_A, None, distance
+    return None, None, distance
+
+
 def decide_scaled(nums: Sequence[int], scale: int) -> tuple:
     """The admissibility rules on the angle vector `nums / scale`.
 
     Returns (case, lattice, coaxial, why): lattice is (distance * scale,
     nearest) once the odd-lattice distance has been computed, coaxial the
     case-D witness, and why, for case NONE, a reason template with the
-    scaled value it formats.  The checks run in a fixed order: strip
-    units, reject a single leftover angle, reject a non-positive
-    Gauss-Bonnet margin, then split on the odd-lattice distance of
-    beta - (1,...,1) as described in the module docstring.
+    scaled value it formats.  Units are stripped, `screen_scaled` runs
+    the checks up to the distance, and at distance exactly 1 the boundary
+    rules B, C and D of the module docstring decide.
     """
     shifted = [v - scale for v in nums if v != scale]
-    if not shifted:
-        return CASE_EMPTY, None, None, None
-    if len(shifted) == 1:
-        return CASE_NONE, None, None, (_SINGLE, 0)
-    margin = 2 * scale + sum(shifted)
-    if margin <= 0:
-        return CASE_NONE, None, None, (_MARGIN, margin)
-    lattice = odd_lattice_scaled(shifted, scale)
-    dist = lattice[0]
-    if dist < scale:
-        return CASE_NONE, lattice, None, (_HOLONOMY, dist)
-    if dist > scale:
-        return CASE_A, lattice, None, None
+    nearest, cost, parity, flip = round_scaled(shifted, scale)
+    case, why, distance = screen_scaled(
+        len(shifted), sum(shifted), cost, parity, flip, scale)
+    if distance is None:
+        return case, None, None, why
+    lattice = distance, nearest
+    if case is not None:
+        return case, lattice, None, why
     integral = sum(1 for v in shifted if v % scale == 0)
     if len(shifted) == 2 and shifted[0] == shifted[1] and not integral:
         return CASE_B, lattice, None, None

@@ -28,6 +28,7 @@ from .lift import (
     CertificationRefused,
     ExceptionalityCertificate,
     certify_exceptional,
+    require_grid_bounds,
     search_certificate,
     verify_certificate,
 )
@@ -128,6 +129,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    require_grid_bounds(args.max_numerator, args.max_denominator)
     summary: dict[int, Counter] = {}
     for degree in range(2, args.max_degree + 1):
         counts: Counter = Counter()

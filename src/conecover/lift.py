@@ -7,6 +7,12 @@ branch point, lifts through a datum to a vector that is NOT admissible,
 no cover with that datum can exist.  The pair (admissible base vector,
 inadmissible lift) is a self-contained certificate that anyone can
 recheck with the admissibility decision alone.
+
+`search_certificate` tries family seeds, then a cached grid of small
+fractions kept as index tuples.  Per row and grid value it tabulates the
+`angles.screen_scaled` terms of the lifted entries; summed over the rows
+they settle most lifts, and only those at odd-lattice distance exactly 1
+go through the full `angles.decide_scaled`.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ from .angles import (
     as_angles,
     decide_admissible,
     decide_scaled,
+    round_scaled,
     scaled_numerators,
+    screen_scaled,
 )
 from .branch_data import BranchDatum, require_valid, validate_datum
 
@@ -144,23 +152,69 @@ def _grid_scale(max_denominator: int) -> int:
     return math.lcm(*range(1, max_denominator + 1))
 
 
+def require_grid_bounds(max_numerator: int, max_denominator: int) -> None:
+    """Raise ValueError unless both grid bounds are at least 1."""
+    if max_numerator < 1 or max_denominator < 1:
+        raise ValueError(
+            f"grid bounds must be at least 1, got max_numerator={max_numerator}"
+            f" and max_denominator={max_denominator}"
+        )
+
+
+def _row_table(parts: Sequence[int], nums: Sequence[int], scale: int) -> list[tuple]:
+    # For each grid value nums[i] / scale, the `screen_scaled` terms of the
+    # non-unit entries m * nums[i] that a row with these parts lifts it to.
+    table = []
+    for x in nums:
+        shifted = [m * x - scale for m in parts if m * x != scale]
+        _, cost, parity, flip = round_scaled(shifted, scale)
+        table.append((len(shifted), sum(shifted), cost, parity, flip))
+    return table
+
+
+def _lift_case(rows: Sequence[Sequence[int]], tables: Sequence[list[tuple]],
+               nums: Sequence[int], idx: tuple[int, ...], scale: int) -> str:
+    # The admissibility case of the lift through `rows` of the grid vector
+    # whose entry r is nums[idx[r]] / scale.  It is screened from the sums
+    # of the row tables and decided in full only at distance exactly 1.
+    count = shift = cost = parity = 0
+    flip = scale
+    for table, i in zip(tables, idx):
+        c, s, k, p, f = table[i]
+        count += c
+        shift += s
+        cost += k
+        parity ^= p
+        if f < flip:
+            flip = f
+    case = screen_scaled(count, shift, cost, parity, flip, scale)[0]
+    if case is None:
+        lifted = [m * nums[i] for i, parts in zip(idx, rows) for m in parts]
+        case = decide_scaled(lifted, scale)[0]
+    return case
+
+
 @lru_cache(maxsize=None)
 def _admissible_grid(n: int, max_numerator: int, max_denominator: int
-                     ) -> tuple[tuple[Fraction, ...], ...]:
-    # Candidate base vectors ordered by (largest denominator, lexicographic),
-    # pre-filtered to the admissible ones; inadmissible bases never certify.
-    # The vectors whose largest denominator is q come out in order from the
-    # lexicographic product of the values with denominator <= q.
+                     ) -> tuple[tuple[int, ...], ...]:
+    # Candidate base vectors, as index tuples into `_grid_values`, ordered by
+    # (largest denominator, lexicographic) and pre-filtered to the admissible
+    # ones; inadmissible bases never certify.  The vectors whose largest
+    # denominator is q come out in order from the lexicographic product of
+    # the values with denominator <= q.
     values = _grid_values(max_numerator, max_denominator)
     scale = _grid_scale(max_denominator)
+    nums = scaled_numerators(values, scale)
+    rows = [(1,)] * n
+    tables = [_row_table((1,), nums, scale)] * n
     grid = []
     for q in range(1, max_denominator + 1):
-        pool = [v for v in values if v.denominator <= q]
-        for vec in itertools.product(pool, repeat=n):
-            if all(v.denominator != q for v in vec):
+        pool = [i for i, v in enumerate(values) if v.denominator <= q]
+        for idx in itertools.product(pool, repeat=n):
+            if all(values[i].denominator != q for i in idx):
                 continue
-            if decide_scaled(scaled_numerators(vec, scale), scale)[0] != CASE_NONE:
-                grid.append(vec)
+            if _lift_case(rows, tables, nums, idx, scale) != CASE_NONE:
+                grid.append(idx)
     return tuple(grid)
 
 
@@ -199,8 +253,10 @@ def search_certificate(
     of some row), then `extra_candidates`, then every vector with entries
     p/q, p <= max_numerator, q <= max_denominator, ordered by largest
     denominator and then lexicographically.  The first certificate found
-    is returned, so identical inputs give identical output.
+    is returned, so identical inputs give identical output.  Raises
+    ValueError when the datum is not valid or a grid bound is below 1.
     """
+    require_grid_bounds(max_numerator, max_denominator)
     require_valid(datum)
     n = len(datum.rows)
 
@@ -228,12 +284,15 @@ def search_certificate(
         if found is not None:
             return found
     # Every grid vector is admissible, so the first one whose lift is not
-    # certifies; lifts are decided in integers over the grid's denominator.
+    # certifies.  A lift is screened from per-row sums over the grid's
+    # denominator; only lifts at odd-lattice distance exactly 1 are decided
+    # in full.
+    values = _grid_values(max_numerator, max_denominator)
     scale = _grid_scale(max_denominator)
+    nums = scaled_numerators(values, scale)
     rows = [row.parts for row in datum.rows]
-    for cand in _admissible_grid(n, max_numerator, max_denominator):
-        nums = scaled_numerators(cand, scale)
-        lifted = [m * x for x, parts in zip(nums, rows) for m in parts]
-        if decide_scaled(lifted, scale)[0] == CASE_NONE:
-            return try_one(cand)
+    tables = [_row_table(parts, nums, scale) for parts in rows]
+    for idx in _admissible_grid(n, max_numerator, max_denominator):
+        if _lift_case(rows, tables, nums, idx, scale) == CASE_NONE:
+            return try_one(tuple(values[i] for i in idx))
     return None

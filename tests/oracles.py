@@ -17,11 +17,42 @@ from conecover import (
     CASE_EMPTY,
     CASE_NONE,
     BranchDatum,
+    CoaxialWitness,
     Permutation,
     coaxial_check,
     cycle_type,
     validate_datum,
 )
+from conecover.angles import as_angles, decide_scaled
+
+
+def strip_units(beta):
+    """Drop entries equal to 1 (smooth points), preserving order."""
+    return tuple(b for b in as_angles(beta) if b != 1)
+
+
+def gauss_bonnet_margin(beta):
+    """The area bound 2 + sum(beta_i - 1); a metric needs this positive."""
+    vals = as_angles(beta)
+    return Fraction(2) + sum((b - 1 for b in vals), Fraction(0))
+
+
+def rational_gcd(values):
+    """Largest rational dividing every value into an integer.
+
+    Equals gcd(numerators) / lcm(denominators) for reduced fractions.
+    """
+    vals = [Fraction(v) for v in values]
+    if not vals:
+        raise ValueError("need at least one value")
+    if any(v <= 0 for v in vals):
+        raise ValueError("values must be positive")
+    num = 0
+    den = 1
+    for v in vals:
+        num = math.gcd(num, v.numerator)
+        den = math.lcm(den, v.denominator)
+    return Fraction(num, den)
 
 
 def odd_box_distance(vec):
@@ -111,3 +142,42 @@ def count_by_cycle_type(degree):
         t = tuple(cycle_type(Permutation(images)))
         counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def reference_lift_decision(nums, rows, scale):
+    """`decide_scaled` of the whole lift of `nums / scale` through `rows`.
+
+    Row i takes the value nums[i]; every part m of it contributes the
+    lifted numerator m * nums[i].  Returns (case, distance): the scaled
+    odd-lattice distance, or None where the rules stopped before it.
+    """
+    lifted = [m * x for x, parts in zip(nums, rows) for m in parts]
+    case, lattice, _, _ = decide_scaled(lifted, scale)
+    return case, None if lattice is None else lattice[0]
+
+
+def reference_coaxial(beta):
+    """The case-D sign search, building eta and b by `rational_gcd`.
+
+    Tries the signs of the non-integral entries with +1 before -1 in
+    lexicographic order, and for the first sign vector meeting the
+    conditions of the `angles` docstring takes eta as the rational gcd of
+    the non-integral entries and k'+k'' ones and b as each of them over
+    eta.  Fraction arithmetic throughout.
+    """
+    vals = [Fraction(b) for b in beta]
+    nonint = [b for b in vals if b.denominator != 1]
+    ints = [b for b in vals if b.denominator == 1]
+    for signs in itertools.product((1, -1), repeat=len(nonint)):
+        k_prime = sum(s * b for s, b in zip(signs, nonint))
+        if k_prime < 0 or k_prime.denominator != 1:
+            continue
+        k_double = sum(ints) - len(vals) - k_prime + 2
+        if k_double < 0 or k_double % 2 != 0:
+            continue
+        vec = nonint + [Fraction(1)] * int(k_prime + k_double)
+        eta = rational_gcd(vec)
+        b = tuple(int(v / eta) for v in vec)
+        if 2 * max(ints) <= sum(b):
+            return CoaxialWitness(signs, int(k_prime), int(k_double), eta, b)
+    return None

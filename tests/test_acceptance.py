@@ -35,14 +35,13 @@ from conecover import (
     parse_datum,
     partitions_of,
     search_certificate,
-    strip_units,
     troyanov_admissible,
     validate_datum,
     verify_certificate,
     verify_witness,
 )
 from conftest import record_observation
-from oracles import all_partitions, odd_box_distance
+from oracles import all_partitions, odd_box_distance, strip_units
 
 
 def _ordered_splits(total):

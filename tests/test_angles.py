@@ -19,13 +19,10 @@ from conecover import (
     coaxial_check,
     decide_admissible,
     format_angles,
-    gauss_bonnet_margin,
     l1_distance_to_odd_lattice,
     lift_angles,
     parse_angles,
     partitions_of,
-    rational_gcd,
-    strip_units,
     troyanov_admissible,
 )
 from conecover.angles import (
@@ -37,7 +34,14 @@ from conecover.angles import (
     scaled_numerators,
 )
 
-from oracles import odd_box_distance, reference_admissible
+from oracles import (
+    gauss_bonnet_margin,
+    odd_box_distance,
+    rational_gcd,
+    reference_admissible,
+    reference_coaxial,
+    strip_units,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -222,6 +226,21 @@ def test_coaxial_frozen_witnesses():
         coaxial_check((F(1, 2), F(1, 2)))
     with pytest.raises(ValueError):
         coaxial_check((2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
+                .filter(lambda b: b.denominator != 1), min_size=1, max_size=4),
+       st.lists(st.integers(min_value=2, max_value=48), min_size=1, max_size=4))
+@example([F(1, 2), F(1, 2)], [2])                   # k'+k'' = 1
+@example([F(1, 2), F(1, 3), F(5, 6)], [2])          # k'+k'' = 0: eta = 1/6
+@example([F(3, 2), F(3, 4), F(3, 4)], [2])          # k'+k'' = 0: eta = 3/4
+@example([F(1, 2), F(1, 2)], [48, 48])              # lifted angles up to 48
+def test_coaxial_matches_reference(nonint, ints):
+    # eta and b are built in integers; the reference builds them with
+    # rational_gcd over the entries and k'+k'' ones
+    beta = nonint + [F(v) for v in ints]
+    assert coaxial_check(beta) == reference_coaxial(beta)
 
 
 # ----------------------------------------------------------------- decide

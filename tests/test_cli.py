@@ -113,6 +113,19 @@ def test_certify_search_modes(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("bounds", [
+    ("--max-denominator", "0"),
+    ("--max-denominator", "-3"),
+    ("--max-numerator", "0"),
+])
+def test_certify_and_catalog_reject_empty_grids(capsys, bounds):
+    for argv in (("certify", KLEIN), ("certify", D4), ("catalog", "--max-degree", "4")):
+        code, out, err = invoke(capsys, *argv, *bounds)
+        assert code == 2
+        assert out == ""
+        assert "grid bounds must be at least 1" in err
+
+
 # ----------------------------------------------------------------- realize
 
 

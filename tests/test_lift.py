@@ -2,16 +2,21 @@
 
 import dataclasses
 import hashlib
+import itertools
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conecover import (
     BranchDatum,
     CertificationRefused,
     ExceptionalityCertificate,
     certify_exceptional,
+    decide_admissible,
+    enumerate_data,
     find_witness,
     lift_angles,
     parse_datum,
@@ -20,6 +25,9 @@ from conecover import (
     verify_certificate,
 )
 from conecover import lift as lift_mod
+from conecover.angles import scaled_numerators
+
+from oracles import reference_lift_decision
 
 D4 = parse_datum("4: 3,1 | 2,2 | 2,2")
 # construction order kept on purpose; parse_datum would sort the rows
@@ -169,15 +177,89 @@ def test_search_candidate_order(monkeypatch):
     assert verify_certificate(cert)
 
 
+def grid_vectors(n, max_numerator, max_denominator):
+    values = lift_mod._grid_values(max_numerator, max_denominator)
+    grid = lift_mod._admissible_grid(n, max_numerator, max_denominator)
+    return tuple(tuple(values[i] for i in idx) for idx in grid)
+
+
 def test_grid_order_is_frozen():
     # the first certificate found depends on this order
     for n, size, digest in (
         (2, 23, "c19148dd5106fa1fa6f748b334cdf66e112934512f268b67aeeb2ee755067252"),
         (3, 3360, "9efe5a23fa40841b071bc4bed60832bba37c4e9494e7c9e1b55d3e79bfb90186"),
     ):
-        grid = lift_mod._admissible_grid(n, 6, 6)
+        grid = grid_vectors(n, 6, 6)
         assert len(grid) == size
         assert hashlib.sha256(str(grid).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, max_numerator, max_denominator",
+                         [(2, 12, 6), (2, 8, 10), (3, 4, 4)])
+def test_grid_matches_brute_force(n, max_numerator, max_denominator):
+    values = sorted({F(p, q) for p in range(1, max_numerator + 1)
+                     for q in range(1, max_denominator + 1)})
+    admissible = [vec for vec in itertools.product(values, repeat=n)
+                  if decide_admissible(vec).admissible]
+    admissible.sort(key=lambda vec: (max(v.denominator for v in vec), vec))
+    assert grid_vectors(n, max_numerator, max_denominator) == tuple(admissible)
+
+
+@st.composite
+def grid_lifts(draw):
+    # 2-4 rows of a degree <= 10 and one grid value per row, over 60 (the
+    # default grid's denominator) or over lcm(1..12)
+    degree = draw(st.integers(min_value=1, max_value=10))
+    n = draw(st.integers(min_value=2, max_value=4))
+    rows = tuple(draw(st.lists(st.sampled_from(partitions_of(degree)),
+                               min_size=n, max_size=n)))
+    scale = draw(st.sampled_from((60, math.lcm(*range(1, 13)))))
+    values = [v for v in lift_mod._grid_values(12, 12) if scale % v.denominator == 0]
+    beta = tuple(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    return rows, beta, scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_lifts())
+@example((((2,), (2,)), (F(1, 2), F(1, 2)), 60))         # every lifted entry a unit
+@example((((2,), (2,)), (F(1), F(1)), 60))               # C: lift (2, 2)
+@example((((1, 1), (2,)), (F(1, 2), F(1)), 60))          # D: lift (1/2, 1/2, 2)
+@example((((3, 1), (2, 2), (2, 2)), (F(1, 2),) * 3, 60))  # NONE at distance 1
+def test_row_screen_matches_full_decision(lift):
+    rows, beta, scale = lift
+    nums = scaled_numerators(beta, scale)
+    tables = [lift_mod._row_table(parts, nums, scale) for parts in rows]
+    idx = tuple(range(len(rows)))
+    case, distance = reference_lift_decision(nums, rows, scale)
+    assert lift_mod._lift_case(rows, tables, nums, idx, scale) == case
+    # only lifts at distance exactly 1 fall through to decide_scaled
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lift_mod, "decide_scaled", lambda *args: (None,))
+        screened = lift_mod._lift_case(rows, tables, nums, idx, scale)
+    assert (screened is None) == (distance == scale)
+    if screened is not None:
+        assert screened == case
+
+
+def test_search_certificates_are_frozen():
+    # every 3-point datum of degree 3-8, the search's JSON hashed in order
+    digest = hashlib.sha256()
+    count = 0
+    for degree in range(3, 9):
+        for datum in enumerate_data(degree, 3):
+            cert = search_certificate(datum)
+            blob = None if cert is None else cert.to_json()
+            digest.update(json.dumps(blob).encode() + b"\n")
+            count += 1
+    assert count == 386
+    assert digest.hexdigest() == (
+        "88132d22de087947f15ba66e0b0ca4a3efebba7385f27ef1fdac929195c5324b")
+
+
+@pytest.mark.parametrize("bounds", [(6, 0), (6, -3), (0, 6)])
+def test_search_rejects_empty_grid(bounds):
+    with pytest.raises(ValueError, match="grid bounds"):
+        search_certificate(KLEIN, *bounds)
 
 
 def test_search_agrees_with_oracle_at_tiny_degree():
