@@ -289,7 +289,7 @@ _NO_COAXIAL = "mixed angles at distance 1 with no coaxial sign witness"
 _NON_INTEGRAL = "all angles non-integral at distance 1 and not an equal pair"
 
 
-def screen_scaled(count: int, shift: int, cost: int, parity: int, flip: int,
+def screen_scaled(count: int, shift: int, cost: int | None, parity: int, flip: int,
                   scale: int) -> tuple:
     """The rules up to the odd-lattice distance, in their fixed order.
 
@@ -299,7 +299,8 @@ def screen_scaled(count: int, shift: int, cost: int, parity: int, flip: int,
     non-positive Gauss-Bonnet margin, then the distance against 1.
     Returns (case, why, distance), distance scaled and None if not yet
     needed; case is None at distance exactly 1, where the boundary rules
-    of `decide_scaled` decide.
+    of `decide_scaled` decide.  With `cost` None only the checks before
+    the distance run, and case None says that they passed.
     """
     if count == 0:
         return CASE_EMPTY, None, None
@@ -308,6 +309,8 @@ def screen_scaled(count: int, shift: int, cost: int, parity: int, flip: int,
     margin = 2 * scale + shift
     if margin <= 0:
         return CASE_NONE, (_MARGIN, margin), None
+    if cost is None:
+        return None, None, None
     distance = cost if parity else cost + flip
     if distance < scale:
         return CASE_NONE, (_HOLONOMY, distance), distance
@@ -323,15 +326,17 @@ def decide_scaled(nums: Sequence[int], scale: int) -> tuple:
     nearest) once the odd-lattice distance has been computed, coaxial the
     case-D witness, and why, for case NONE, a reason template with the
     scaled value it formats.  Units are stripped, `screen_scaled` runs
-    the checks up to the distance, and at distance exactly 1 the boundary
+    the checks up to the distance (the vector is rounded only once those
+    before the distance pass), and at distance exactly 1 the boundary
     rules B, C and D of the module docstring decide.
     """
     shifted = [v - scale for v in nums if v != scale]
-    nearest, cost, parity, flip = round_scaled(shifted, scale)
-    case, why, distance = screen_scaled(
-        len(shifted), sum(shifted), cost, parity, flip, scale)
-    if distance is None:
+    count, shift = len(shifted), sum(shifted)
+    case, why, _ = screen_scaled(count, shift, None, 0, 0, scale)
+    if case is not None:
         return case, None, None, why
+    nearest, cost, parity, flip = round_scaled(shifted, scale)
+    case, why, distance = screen_scaled(count, shift, cost, parity, flip, scale)
     lattice = distance, nearest
     if case is not None:
         return case, lattice, None, why

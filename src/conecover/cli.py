@@ -60,6 +60,8 @@ def _read_text(path: str) -> str:
 
 
 def _budget(value: int) -> int | None:
+    if value < 0:
+        raise ValueError(f"--budget must be 0 (unlimited) or positive, got {value}")
     return None if value == 0 else value
 
 
@@ -109,8 +111,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    budget = _budget(args.budget)
     datum = parse_datum(args.datum)
-    result = find_witness(datum, budget=_budget(args.budget))
+    result = find_witness(datum, budget=budget)
     out = {"status": result.status, "nodes": result.nodes, "datum": datum.to_json()}
     if result.witness is not None:
         out["witness"] = result.witness.to_json()
@@ -130,6 +133,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_catalog(args) -> int:
     require_grid_bounds(args.max_numerator, args.max_denominator)
+    budget = _budget(args.budget)
     summary: dict[int, Counter] = {}
     for degree in range(2, args.max_degree + 1):
         counts: Counter = Counter()
@@ -141,7 +145,7 @@ def cmd_catalog(args) -> int:
                 max_denominator=args.max_denominator,
             )
             t1 = time.perf_counter()
-            oracle = find_witness(datum, budget=_budget(args.budget))
+            oracle = find_witness(datum, budget=budget)
             t2 = time.perf_counter()
             if cert is not None and oracle.status == REALIZABLE:
                 raise RuntimeError(

@@ -6,13 +6,20 @@ types are the rows, whose product s_1 * s_2 * ... * s_n is the identity,
 and which generate a transitive subgroup.  This module searches for such
 a tuple directly.
 
-Two standard reductions keep the search small.  Realizability is
-invariant under conjugating the whole tuple, so one permutation (the
-largest conjugacy class among those enumerated) is pinned to a canonical
-class representative.  And the product condition determines any one
-permutation from the others, so the row with the largest class overall is
-never enumerated at all: it is computed from the product equation and
-merely checked.  Permutations compose left to right: (p * q)(x) = q(p(x)).
+Three reductions keep the search small.  Realizability is invariant
+under conjugating the whole tuple, so one permutation (the largest
+conjugacy class among those enumerated) is pinned to a canonical class
+representative.  The product condition determines any one permutation
+from the others, so the row with the largest class overall is never
+enumerated at all: its inverse is the product of the slots after it and
+then those before it, and only the cycle type of that product is tested
+(a permutation and its inverse share it).  A cyclic rotation of the
+factors is a conjugate, so the product is taken with the deepest
+enumerated slot last and costs one composition per node.  And a count
+can stand in for exhaustion: a search that has visited `_COUNT_PROBE`
+nodes without a witness asks `counting` for the number of transitive
+tuples, and a count of zero ends it with the answer exhaustion would
+give.  Permutations compose left to right: (p * q)(x) = q(p(x)).
 """
 
 from __future__ import annotations
@@ -21,12 +28,18 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .branch_data import BranchDatum, Partition, require_valid
 
 DEFAULT_BUDGET = 10**8
+
+# A count costs a few milliseconds at degree 8-10, as much as a few hundred
+# nodes, and 96% of the realizable 3-point data of degree 9-10 and
+# 4-point data of degree 8 show a witness within this many nodes; so only
+# a search that has visited this many without one asks for the count.
+_COUNT_PROBE = 1000
 
 REALIZABLE = "realizable"
 UNREALIZABLE = "unrealizable"
@@ -86,8 +99,9 @@ class OracleResult:
     """Search outcome: status plus a witness when realizable.
 
     `nodes` counts the complete candidate tuples examined; a budgeted
-    search that runs out reports UNKNOWN, and UNREALIZABLE is only ever
-    reported after the whole space was covered.
+    search that runs out reports UNKNOWN.  UNREALIZABLE is reported only
+    when the whole space is covered, by the search or by a count of zero
+    transitive tuples, and its `nodes` is the size of that space either way.
     """
 
     status: str
@@ -96,7 +110,10 @@ class OracleResult:
 
 
 def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(q[x - 1] for x in p)
+    # From a list, not a generator: a tuple built from a generator is
+    # allocated for ten entries and shrunk, and the shrunk ones collect in
+    # CPython's free lists, 2,000 per length.
+    return tuple([q[x - 1] for x in p])
 
 
 def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -168,7 +185,8 @@ def _class_images(parts: tuple[int, ...], degree: int) -> Iterator[tuple[int, ..
     used = [False] * (degree + 1)
 
     def rec(placed: int) -> Iterator[tuple[int, ...]]:
-        if placed == degree:
+        if counts[1] == degree - placed:
+            # Only fixed points are left, and images fixes every unplaced point.
             yield tuple(images)
             return
         lead = 1
@@ -239,14 +257,25 @@ def _transitive_images(images: Sequence[tuple[int, ...]], degree: int) -> bool:
     return count == degree
 
 
+def _transitive_count(degree: int, rows: Sequence[tuple[int, ...]]) -> int:
+    # Imported on first use: `counting` imports this module, and most
+    # processes never count, so they need not load it.
+    from .counting import TupleCounts
+
+    return TupleCounts().transitive(degree, rows)
+
+
 def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> OracleResult:
     """Search for a realizing permutation tuple.
 
     Returns REALIZABLE with the first witness found (the search order is
-    deterministic), UNREALIZABLE when the space is exhausted, or UNKNOWN
-    when the node budget runs out first.  `budget` of None never stops.
+    deterministic), UNREALIZABLE when the space is exhausted or a count
+    shows it holds no witness, or UNKNOWN when the node budget runs out
+    first.  `budget` of None never stops; a negative one is refused.
     """
     require_valid(datum)
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     d = datum.degree
     rows = [row.parts for row in datum.rows]
     n = len(rows)
@@ -256,45 +285,69 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     rest = [i for i in range(n) if i != derived]
     pinned = max(rest, key=lambda i: (sizes[i], i))
     enum_positions = [i for i in rest if i != pinned]
+    space = prod(sizes[i] for i in enum_positions)
+    countable = space > _COUNT_PROBE and (budget is None or space <= budget)
+
+    # The derived slot's inverse is the product of the slots after it and
+    # then those before it.  Rotated so that the deepest enumerated slot
+    # comes last, that product becomes a conjugate, of the same cycle type,
+    # whose other factors are fixed while the deepest slot runs.
+    order = list(range(derived + 1, n)) + list(range(derived))
+    cut = order.index(enum_positions[-1]) + 1 if enum_positions else 0
+    rotated = order[cut:] + order[:cut]
+    head, last = rotated[:-1], rotated[-1]
+    target = rows[derived]
+    identity = tuple(range(1, d + 1))
 
     assign: list[tuple[int, ...] | None] = [None] * n
     assign[pinned] = canonical_of_type(datum.rows[pinned], d).images
 
     nodes = 0
-    exhausted = True
+    stopped = False
     witness: tuple[tuple[int, ...], ...] | None = None
 
-    def evaluate() -> bool:
-        # All enumerated slots are filled; solve for the derived slot.
-        left = tuple(range(1, d + 1))
-        for i in range(derived):
-            left = _mul(left, assign[i])
-        right = tuple(range(1, d + 1))
-        for i in range(derived + 1, n):
-            right = _mul(right, assign[i])
-        candidate = _mul(_inv(left), _inv(right))
-        if _cycle_type(candidate) != rows[derived]:
-            return False
-        assign[derived] = candidate
-        if not _transitive_images([a for a in assign], d):
-            assign[derived] = None
-            return False
-        return True
+    def solve() -> bool:
+        # The cycle type matched: invert the product in its own order.
+        product = identity
+        for i in order:
+            product = _mul(product, assign[i])
+        assign[derived] = _inv(product)
+        if _transitive_images(assign, d):
+            return True
+        assign[derived] = None
+        return False
 
-    def search(k: int) -> bool:
-        nonlocal nodes, exhausted
-        if k == len(enum_positions):
+    def deepest() -> bool:
+        # Every slot but `last` is filled: one composition per node.
+        nonlocal nodes, stopped
+        prefix = identity
+        for i in head:
+            prefix = _mul(prefix, assign[i])
+        index = [x - 1 for x in prefix]
+        choices = _class_images(rows[last], d) if enum_positions else (assign[last],)
+        for images in choices:
             nodes += 1
             if budget is not None and nodes > budget:
-                exhausted = False
+                stopped = True
                 return False
-            return evaluate()
+            if nodes == _COUNT_PROBE and countable and _transitive_count(d, rows) == 0:
+                stopped = True
+                return False
+            if _cycle_type([images[j] for j in index]) == target:
+                assign[last] = images
+                if solve():
+                    return True
+        return False
+
+    def search(k: int) -> bool:
+        if k >= len(enum_positions) - 1:
+            return deepest()
         pos = enum_positions[k]
         for images in _class_images(rows[pos], d):
             assign[pos] = images
             if search(k + 1):
                 return True
-            if not exhausted:
+            if stopped:
                 return False
         assign[pos] = None
         return False
@@ -309,9 +362,9 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     if witness is not None:
         perms = tuple(Permutation(images) for images in witness)
         return OracleResult(REALIZABLE, MonodromyWitness(d, perms), nodes)
-    if exhausted:
-        return OracleResult(UNREALIZABLE, None, nodes)
-    return OracleResult(UNKNOWN, None, nodes)
+    if budget is not None and nodes > budget:
+        return OracleResult(UNKNOWN, None, nodes)
+    return OracleResult(UNREALIZABLE, None, space)
 
 
 def verify_witness(datum: BranchDatum, perms: Sequence[Permutation]) -> bool:

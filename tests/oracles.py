@@ -5,6 +5,7 @@ in the library and a bug in one of these helpers would have to agree to
 slip through, and the implementations share no logic.
 """
 
+from collections import Counter
 from fractions import Fraction
 import itertools
 import math
@@ -24,6 +25,21 @@ from conecover import (
     validate_datum,
 )
 from conecover.angles import as_angles, decide_scaled
+from conecover.branch_data import require_valid
+from conecover.monodromy import (
+    DEFAULT_BUDGET,
+    REALIZABLE,
+    UNKNOWN,
+    UNREALIZABLE,
+    MonodromyWitness,
+    OracleResult,
+    _cycle_type,
+    _inv,
+    _mul,
+    _transitive_images,
+    canonical_of_type,
+    class_size,
+)
 
 
 def strip_units(beta):
@@ -181,3 +197,181 @@ def reference_coaxial(beta):
         if 2 * max(ints) <= sum(b):
             return CoaxialWitness(signs, int(k_prime), int(k_double), eta, b)
     return None
+
+
+def _type_of(perm):
+    # Cycle lengths, non-increasing, of a 0-based permutation tuple.
+    seen = set()
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def reference_transitive_count(degree, rows):
+    """(N, T) by listing tuples: those with the given cycle types and
+    product one, and those among them whose group is transitive.
+
+    Every permutation comes from `itertools.permutations`, filed under a
+    cycle type computed here.  The tuple runs over the classes of every
+    row but the last; the last entry is the inverse of the product of the
+    others and must have the last row's type.  Transitivity is a walk
+    from the point 0.
+    """
+    by_type = {}
+    for perm in itertools.permutations(range(degree)):
+        by_type.setdefault(_type_of(perm), []).append(perm)
+    rows = [tuple(row) for row in rows]
+    product_one = transitive = 0
+    for head in itertools.product(*(by_type.get(row, []) for row in rows[:-1])):
+        product = tuple(range(degree))
+        for perm in head:
+            product = tuple(perm[x] for x in product)
+        last = [0] * degree
+        for x, y in enumerate(product):
+            last[y] = x
+        if _type_of(last) != rows[-1]:
+            continue
+        product_one += 1
+        orbit = {0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for perm in head + (last,):
+                if perm[x] not in orbit:
+                    orbit.add(perm[x])
+                    frontier.append(perm[x])
+        transitive += len(orbit) == degree
+    return product_one, transitive
+
+
+def reference_class_images(parts, degree):
+    """Every permutation of the given cycle type once, in the oracle's order.
+
+    The smallest unplaced element leads the next cycle, whose remaining
+    entries run over ordered selections of the unplaced elements; fixed
+    points are placed one recursion level each.
+    """
+    counts = Counter(parts)
+    lengths = sorted(counts)
+    images = list(range(1, degree + 1))
+    used = [False] * (degree + 1)
+
+    def rec(placed):
+        if placed == degree:
+            yield tuple(images)
+            return
+        lead = 1
+        while used[lead]:
+            lead += 1
+        used[lead] = True
+        rest = [e for e in range(lead + 1, degree + 1) if not used[e]]
+        for length in lengths:
+            if counts[length] == 0:
+                continue
+            counts[length] -= 1
+            if length == 1:
+                yield from rec(placed + 1)
+            else:
+                for tail in itertools.permutations(rest, length - 1):
+                    for e in tail:
+                        used[e] = True
+                    images[lead - 1] = tail[0]
+                    for a, b in zip(tail, tail[1:]):
+                        images[a - 1] = b
+                    images[tail[-1] - 1] = lead
+                    yield from rec(placed + length)
+                    images[lead - 1] = lead
+                    for e in tail:
+                        images[e - 1] = e
+                        used[e] = False
+            counts[length] += 1
+        used[lead] = False
+
+    # rec refers to itself through its closure cell; emptying the cell on
+    # the way out frees it by reference counting instead of leaving a cycle.
+    try:
+        yield from rec(0)
+    finally:
+        del rec
+
+
+def reference_find_witness(datum, budget=DEFAULT_BUDGET):
+    """`find_witness` as an exhaustive search and nothing else.
+
+    The same slots are derived, pinned and enumerated in the same order,
+    but every node rebuilds the products of the slots before and after the
+    derived one from the identity and inverts both.  No count is taken:
+    UNREALIZABLE is reported only after every node was visited.
+    """
+    require_valid(datum)
+    d = datum.degree
+    rows = [row.parts for row in datum.rows]
+    n = len(rows)
+    sizes = [class_size(row, d) for row in datum.rows]
+
+    derived = max(range(n), key=lambda i: (sizes[i], i))
+    rest = [i for i in range(n) if i != derived]
+    pinned = max(rest, key=lambda i: (sizes[i], i))
+    enum_positions = [i for i in rest if i != pinned]
+
+    assign = [None] * n
+    assign[pinned] = canonical_of_type(datum.rows[pinned], d).images
+
+    nodes = 0
+    exhausted = True
+    witness = None
+
+    def evaluate():
+        # All enumerated slots are filled; solve for the derived slot.
+        left = tuple(range(1, d + 1))
+        for i in range(derived):
+            left = _mul(left, assign[i])
+        right = tuple(range(1, d + 1))
+        for i in range(derived + 1, n):
+            right = _mul(right, assign[i])
+        candidate = _mul(_inv(left), _inv(right))
+        if _cycle_type(candidate) != rows[derived]:
+            return False
+        assign[derived] = candidate
+        if not _transitive_images([a for a in assign], d):
+            assign[derived] = None
+            return False
+        return True
+
+    def search(k):
+        nonlocal nodes, exhausted
+        if k == len(enum_positions):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                exhausted = False
+                return False
+            return evaluate()
+        pos = enum_positions[k]
+        for images in reference_class_images(rows[pos], d):
+            assign[pos] = images
+            if search(k + 1):
+                return True
+            if not exhausted:
+                return False
+        assign[pos] = None
+        return False
+
+    try:
+        if search(0):
+            witness = tuple(assign)
+    finally:
+        del search
+    if witness is not None:
+        perms = tuple(Permutation(images) for images in witness)
+        return OracleResult(REALIZABLE, MonodromyWitness(d, perms), nodes)
+    if exhausted:
+        return OracleResult(UNREALIZABLE, None, nodes)
+    return OracleResult(UNKNOWN, None, nodes)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conecover import all_instances, enumerate_data
+from conecover import cli
 from conecover.cli import main
 
 D4 = "4: 3,1 | 2,2 | 2,2"
@@ -154,6 +155,19 @@ def test_realize_budget(capsys):
     code, out, _ = invoke(capsys, "realize", D9, "--budget", "0")
     assert code == 1
     assert json.loads(out)["status"] == "unrealizable"
+
+
+def test_realize_and_catalog_reject_negative_budget(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "find_witness", no_work)
+    monkeypatch.setattr(cli, "search_certificate", no_work)
+    for argv in (("realize", D9), ("catalog", "--max-degree", "4")):
+        code, out, err = invoke(capsys, *argv, "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--budget" in err
 
 
 # --------------------------------------------------------------- enumerate

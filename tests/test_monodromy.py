@@ -1,9 +1,11 @@
 """Permutation algebra, conjugacy classes, and the realizability oracle."""
 
 import gc
+import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conecover import (
     REALIZABLE,
@@ -17,6 +19,7 @@ from conecover import (
     class_size,
     conjugacy_class_iter,
     cycle_type,
+    enumerate_data,
     find_witness,
     format_cycles,
     is_transitive,
@@ -24,13 +27,24 @@ from conecover import (
     parse_datum,
     verify_witness,
 )
+from conecover import counting
+from conecover.branch_data import partitions_of
+from conecover.counting import TupleCounts
 
-from oracles import count_by_cycle_type, all_partitions
+from oracles import (
+    all_partitions,
+    count_by_cycle_type,
+    reference_find_witness,
+    reference_transitive_count,
+)
 
 KLEIN = parse_datum("4: 2,2 | 2,2 | 2,2")
 PAIR = parse_datum("2: 2 | 2")
 D4 = parse_datum("4: 3,1 | 2,2 | 2,2")
 D9 = BranchDatum(9, ((2, 2, 2, 2, 1), (3, 3, 3), (3, 3, 3)))
+# Unrealizable, with more nodes than the count probe: settled by the count.
+D10 = parse_datum("10: 3,3,3,1 | 3,3,3,1 | 3,3,3,1")
+D8 = parse_datum("8: 5,1,1,1 | 2,2,2,2 | 2,2,2,2 | 2,2,1,1,1,1")
 
 
 # ------------------------------------------------------------ permutations
@@ -167,7 +181,7 @@ def test_oracle_leaves_no_cyclic_garbage():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for datum in (KLEIN, D9):
+        for datum in (KLEIN, D9, D10):
             gc.collect()
             find_witness(datum)
             assert gc.collect() == 0
@@ -179,6 +193,66 @@ def test_oracle_leaves_no_cyclic_garbage():
 def test_oracle_rejects_invalid_datum():
     with pytest.raises(ValueError):
         find_witness(BranchDatum(4, ((3, 1), (2, 2))))
+
+
+def test_oracle_rejects_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        find_witness(KLEIN, budget=-1)
+
+
+def _outcome(result):
+    witness = None if result.witness is None else json.dumps(result.witness.to_json())
+    return result.status, result.nodes, witness
+
+
+def test_oracle_matches_reference(monkeypatch):
+    data = [datum for degree in range(2, 10) for datum in enumerate_data(degree, 3)]
+    data += [datum for degree in range(4, 8) for datum in enumerate_data(degree, 4)]
+    for datum in data:
+        assert _outcome(find_witness(datum)) == _outcome(reference_find_witness(datum))
+
+    counted = []
+
+    class Spy(TupleCounts):
+        def transitive(self, degree, rows):
+            counted.append(degree)
+            return super().transitive(degree, rows)
+
+    monkeypatch.setattr(counting, "TupleCounts", Spy)
+    for datum, space in ((D10, 22400), (D8, 11025)):
+        counted.clear()
+        expected = reference_find_witness(datum)
+        assert _outcome(expected) == (UNREALIZABLE, space, None)
+        assert _outcome(find_witness(datum)) == _outcome(expected)
+        assert counted and counted[0] == datum.degree
+        # one node short of the space, both searches run out of budget
+        counted.clear()
+        expected = reference_find_witness(datum, budget=space - 1)
+        assert _outcome(expected) == (UNKNOWN, space, None)
+        assert _outcome(find_witness(datum, budget=space - 1)) == _outcome(expected)
+        assert not counted
+
+
+@st.composite
+def count_rows(draw):
+    # 3 rows up to degree 6 or 4 rows up to degree 5, any partitions
+    n = draw(st.sampled_from((3, 4)))
+    degree = draw(st.integers(min_value=1, max_value=6 if n == 3 else 5))
+    rows = draw(st.lists(st.sampled_from(partitions_of(degree)), min_size=n, max_size=n))
+    return degree, tuple(rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(count_rows())
+@example((4, ((3, 1), (2, 2), (2, 2))))                  # N = 0
+@example((6, ((4, 2), (4, 1, 1), (2, 2, 2))))            # N = 90 > T = 0
+@example((3, ((2, 1), (2, 1), (1, 1, 1), (1, 1, 1))))    # N = 3 > T = 0
+@example((5, ((5,), (5,), (3, 1, 1), (2, 2, 1))))        # N = T = 2880
+def test_transitive_count_matches_brute_force(case):
+    degree, rows = case
+    counts = TupleCounts()
+    got = counts.product_one(degree, rows), counts.transitive(degree, rows)
+    assert got == reference_transitive_count(degree, rows)
 
 
 def test_verify_witness_negatives():
