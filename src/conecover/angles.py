@@ -191,7 +191,8 @@ def l1_distance_to_odd_lattice(x: Iterable) -> OddLatticeResult:
     if not vals:
         raise ValueError("need at least one coordinate")
     scale = math.lcm(*(v.denominator for v in vals))
-    distance, nearest = odd_lattice_scaled(scaled_numerators(vals, scale), scale)
+    nearest, cost, parity, flip = round_scaled(scaled_numerators(vals, scale), scale)
+    distance = cost if parity else cost + flip
     return OddLatticeResult(Fraction(distance, scale), tuple(nearest))
 
 
@@ -226,14 +227,6 @@ def round_scaled(x: Sequence[int], scale: int) -> tuple[list[int], int, int, int
     if not parity and nearest:
         nearest[at] += 1 if 2 * (x[at] % scale) <= scale else -1
     return nearest, total, parity, flip
-
-
-def odd_lattice_scaled(x: Sequence[int], scale: int) -> tuple[int, list[int]]:
-    """`l1_distance_to_odd_lattice` of `x / scale`: the distance times
-    `scale`, and the nearest odd-sum vector from `round_scaled`.
-    """
-    nearest, cost, parity, flip = round_scaled(x, scale)
-    return (cost if parity else cost + flip), nearest
 
 
 def coaxial_check(beta: Sequence[Fraction]) -> CoaxialWitness | None:

@@ -240,27 +240,28 @@ def enumerate_data(degree: int, branch_points: int) -> Iterator[BranchDatum]:
         raise ValueError(f"need at least one branch point, got {branch_points}")
     pool = [p for p in partitions_of(degree) if p[0] >= 2]
     defects = [degree - len(p) for p in pool]
-    target = 2 * degree - 2
-    n = branch_points
-
-    def rec(start: int, left: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        remaining = n - len(acc)
-        if remaining == 0:
-            if left == 0:
-                yield tuple(acc)
-            return
-        if left < remaining or left > remaining * (degree - 1):
-            return
-        for i in range(start, len(pool)):
-            df = defects[i]
-            if df > left - (remaining - 1):
-                continue
-            acc.append(i)
-            yield from rec(i, left - df, acc)
-            acc.pop()
-
-    for combo in rec(0, target, []):
+    for combo in _defect_combos(defects, 0, 2 * degree - 2, branch_points, degree - 1, []):
         yield BranchDatum(degree, tuple(Partition(pool[i]) for i in combo))
+
+
+def _defect_combos(defects: list[int], start: int, left: int, remaining: int,
+                   most: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+    # Non-decreasing extensions of acc by `remaining` indices from `start` on
+    # whose defects sum to `left`; each defect lies in 1..most, so a branch
+    # that cannot reach `left` is cut before it is entered.
+    if remaining == 0:
+        if left == 0:
+            yield tuple(acc)
+        return
+    if left < remaining or left > remaining * most:
+        return
+    for i in range(start, len(defects)):
+        df = defects[i]
+        if df > left - (remaining - 1):
+            continue
+        acc.append(i)
+        yield from _defect_combos(defects, i, left - df, remaining - 1, most, acc)
+        acc.pop()
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -140,8 +140,11 @@ def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _parts_of(t) -> tuple[int, ...]:
-    return t.parts if isinstance(t, Partition) else tuple(sorted(t, reverse=True))
+def _parts_of(t, degree: int) -> tuple[int, ...]:
+    parts = t.parts if isinstance(t, Partition) else tuple(sorted(t, reverse=True))
+    if sum(parts) != degree:
+        raise ValueError(f"type {parts} does not partition {degree}")
+    return parts
 
 
 def cycle_type(perm: Permutation) -> Partition:
@@ -151,9 +154,7 @@ def cycle_type(perm: Permutation) -> Partition:
 
 def canonical_of_type(t, degree: int) -> Permutation:
     """The representative with cycles on consecutive blocks 1..t1, etc."""
-    parts = _parts_of(t)
-    if sum(parts) != degree:
-        raise ValueError(f"type {parts} does not partition {degree}")
+    parts = _parts_of(t, degree)
     images = list(range(1, degree + 1))
     start = 1
     for length in parts:
@@ -166,9 +167,7 @@ def canonical_of_type(t, degree: int) -> Permutation:
 
 def class_size(t, degree: int) -> int:
     """Order of the conjugacy class: d! / (prod parts * prod mult!)."""
-    parts = _parts_of(t)
-    if sum(parts) != degree:
-        raise ValueError(f"type {parts} does not partition {degree}")
+    parts = _parts_of(t, degree)
     size = factorial(degree)
     for length, mult in Counter(parts).items():
         size //= length**mult * factorial(mult)
@@ -180,56 +179,51 @@ def _class_images(parts: tuple[int, ...], degree: int) -> Iterator[tuple[int, ..
     # unplaced element leads the next cycle, whose remaining entries run
     # over ordered selections of the unplaced elements.
     counts = Counter(parts)
-    lengths = sorted(counts)
     images = list(range(1, degree + 1))
-    used = [False] * (degree + 1)
+    return _place_cycles(counts, sorted(counts), images, [False] * (degree + 1), 0)
 
-    def rec(placed: int) -> Iterator[tuple[int, ...]]:
-        if counts[1] == degree - placed:
-            # Only fixed points are left, and images fixes every unplaced point.
-            yield tuple(images)
-            return
-        lead = 1
-        while used[lead]:
-            lead += 1
-        used[lead] = True
-        rest = [e for e in range(lead + 1, degree + 1) if not used[e]]
-        for length in lengths:
-            if counts[length] == 0:
-                continue
-            counts[length] -= 1
-            if length == 1:
-                yield from rec(placed + 1)
-            else:
-                for tail in itertools.permutations(rest, length - 1):
-                    for e in tail:
-                        used[e] = True
-                    images[lead - 1] = tail[0]
-                    for a, b in zip(tail, tail[1:]):
-                        images[a - 1] = b
-                    images[tail[-1] - 1] = lead
-                    yield from rec(placed + length)
-                    images[lead - 1] = lead
-                    for e in tail:
-                        images[e - 1] = e
-                        used[e] = False
-            counts[length] += 1
-        used[lead] = False
 
-    # rec refers to itself through its closure cell; emptying the cell on
-    # the way out frees it by reference counting instead of leaving a cycle.
-    try:
-        yield from rec(0)
-    finally:
-        del rec
+def _place_cycles(counts: Counter, lengths: list[int], images: list[int],
+                  used: list[bool], placed: int) -> Iterator[tuple[int, ...]]:
+    # Yields `images` once for each way to place the cycles left in `counts`
+    # on the points `used` leaves free; once exhausted it leaves all three
+    # as it found them.
+    degree = len(images)
+    if counts[1] == degree - placed:
+        # Only fixed points are left, and images fixes every unplaced point.
+        yield tuple(images)
+        return
+    lead = 1
+    while used[lead]:
+        lead += 1
+    used[lead] = True
+    rest = [e for e in range(lead + 1, degree + 1) if not used[e]]
+    for length in lengths:
+        if counts[length] == 0:
+            continue
+        counts[length] -= 1
+        if length == 1:
+            yield from _place_cycles(counts, lengths, images, used, placed + 1)
+        else:
+            for tail in itertools.permutations(rest, length - 1):
+                for e in tail:
+                    used[e] = True
+                images[lead - 1] = tail[0]
+                for a, b in zip(tail, tail[1:]):
+                    images[a - 1] = b
+                images[tail[-1] - 1] = lead
+                yield from _place_cycles(counts, lengths, images, used, placed + length)
+                images[lead - 1] = lead
+                for e in tail:
+                    images[e - 1] = e
+                    used[e] = False
+        counts[length] += 1
+    used[lead] = False
 
 
 def conjugacy_class_iter(t, degree: int) -> Iterator[Permutation]:
     """Every permutation of cycle type t, each exactly once, fixed order."""
-    parts = _parts_of(t)
-    if sum(parts) != degree:
-        raise ValueError(f"type {parts} does not partition {degree}")
-    for images in _class_images(parts, degree):
+    for images in _class_images(_parts_of(t, degree), degree):
         yield Permutation(images)
 
 
@@ -265,6 +259,19 @@ def _transitive_count(degree: int, rows: Sequence[tuple[int, ...]]) -> int:
     return TupleCounts().transitive(degree, rows)
 
 
+def _fill(assign: list, positions: Sequence[int], rows: Sequence[tuple[int, ...]],
+          d: int) -> Iterator[None]:
+    # Yields once per filling of assign[positions] by members of their
+    # classes, in class order with the last position running fastest.
+    if not positions:
+        yield
+        return
+    pos = positions[0]
+    for images in _class_images(rows[pos], d):
+        assign[pos] = images
+        yield from _fill(assign, positions[1:], rows, d)
+
+
 def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> OracleResult:
     """Search for a realizing permutation tuple.
 
@@ -281,10 +288,9 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     n = len(rows)
     sizes = [class_size(row, d) for row in datum.rows]
 
-    derived = max(range(n), key=lambda i: (sizes[i], i))
-    rest = [i for i in range(n) if i != derived]
-    pinned = max(rest, key=lambda i: (sizes[i], i))
-    enum_positions = [i for i in rest if i != pinned]
+    ranked = sorted(zip(sizes, range(n)))
+    derived, pinned = ranked[-1][1], ranked[-2][1]
+    enum_positions = [i for i in range(n) if i not in (derived, pinned)]
     space = prod(sizes[i] for i in enum_positions)
     countable = space > _COUNT_PROBE and (budget is None or space <= budget)
 
@@ -303,23 +309,8 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     assign[pinned] = canonical_of_type(datum.rows[pinned], d).images
 
     nodes = 0
-    stopped = False
-    witness: tuple[tuple[int, ...], ...] | None = None
-
-    def solve() -> bool:
-        # The cycle type matched: invert the product in its own order.
-        product = identity
-        for i in order:
-            product = _mul(product, assign[i])
-        assign[derived] = _inv(product)
-        if _transitive_images(assign, d):
-            return True
-        assign[derived] = None
-        return False
-
-    def deepest() -> bool:
+    for _ in _fill(assign, enum_positions[:-1], rows, d):
         # Every slot but `last` is filled: one composition per node.
-        nonlocal nodes, stopped
         prefix = identity
         for i in head:
             prefix = _mul(prefix, assign[i])
@@ -328,42 +319,20 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
         for images in choices:
             nodes += 1
             if budget is not None and nodes > budget:
-                stopped = True
-                return False
+                return OracleResult(UNKNOWN, None, nodes)
             if nodes == _COUNT_PROBE and countable and _transitive_count(d, rows) == 0:
-                stopped = True
-                return False
-            if _cycle_type([images[j] for j in index]) == target:
-                assign[last] = images
-                if solve():
-                    return True
-        return False
-
-    def search(k: int) -> bool:
-        if k >= len(enum_positions) - 1:
-            return deepest()
-        pos = enum_positions[k]
-        for images in _class_images(rows[pos], d):
-            assign[pos] = images
-            if search(k + 1):
-                return True
-            if stopped:
-                return False
-        assign[pos] = None
-        return False
-
-    # search refers to itself through its closure cell; emptying the cell
-    # frees it by reference counting instead of leaving a cycle.
-    try:
-        if search(0):
-            witness = tuple(assign)  # type: ignore[assignment]
-    finally:
-        del search
-    if witness is not None:
-        perms = tuple(Permutation(images) for images in witness)
-        return OracleResult(REALIZABLE, MonodromyWitness(d, perms), nodes)
-    if budget is not None and nodes > budget:
-        return OracleResult(UNKNOWN, None, nodes)
+                return OracleResult(UNREALIZABLE, None, space)
+            if _cycle_type([images[j] for j in index]) != target:
+                continue
+            # The cycle type matched: invert the product in its own order.
+            assign[last] = images
+            product = identity
+            for i in order:
+                product = _mul(product, assign[i])
+            assign[derived] = _inv(product)
+            if _transitive_images(assign, d):
+                perms = tuple(Permutation(images) for images in assign)
+                return OracleResult(REALIZABLE, MonodromyWitness(d, perms), nodes)
     return OracleResult(UNREALIZABLE, None, space)
 
 

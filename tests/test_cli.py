@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from conecover import all_instances, enumerate_data
+from conecover import all_instances, enumerate_data, format_datum
 from conecover import cli
 from conecover.cli import main
 
@@ -204,6 +204,27 @@ def test_catalog_json_summary(capsys):
     summary = lines[-1]["summary"]
     assert summary["3"] == {"REALIZABLE": 1}
     assert summary["4"] == {"REALIZABLE": 5, "EXCEPTIONAL_CERTIFIED": 1}
+
+
+def test_catalog_budget_runs_out(capsys):
+    code, out, _ = invoke(capsys, "catalog", "--max-degree", "5", "--budget", "1")
+    assert code == 0
+    lines = json_lines(out)
+    assert sum(b.get("verdict") == "UNKNOWN" for b in lines) == 7
+    assert lines[-1]["summary"] == {
+        "2": {},
+        "3": {"REALIZABLE": 1},
+        "4": {"REALIZABLE": 3, "UNKNOWN": 2, "EXCEPTIONAL_CERTIFIED": 1},
+        "5": {"REALIZABLE": 6, "UNKNOWN": 5},
+    }
+
+
+def test_catalog_refuses_a_certified_realizable_datum(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "search_certificate", lambda datum, **_: object())
+    datum = format_datum(next(enumerate_data(3, 3)))
+    with pytest.raises(RuntimeError, match="soundness violation") as info:
+        main(["catalog", "--max-degree", "3"])
+    assert datum in str(info.value)
 
 
 def test_catalog_table(capsys):

@@ -25,6 +25,7 @@ from conecover import (
     is_transitive,
     parse_cycles,
     parse_datum,
+    search_certificate,
     verify_witness,
 )
 from conecover import counting
@@ -114,6 +115,15 @@ def test_class_iteration_is_exact_and_duplicate_free():
             assert all(cycle_type(p) == Partition(t) for p in members)
 
 
+def test_class_functions_reject_a_type_of_another_degree():
+    with pytest.raises(ValueError, match="does not partition"):
+        canonical_of_type((3, 1), 5)
+    with pytest.raises(ValueError, match="does not partition"):
+        class_size((3, 1), 5)
+    with pytest.raises(ValueError, match="does not partition"):
+        list(conjugacy_class_iter((3, 1), 5))
+
+
 def test_is_transitive():
     assert is_transitive([Permutation((2, 3, 1))], 3)
     assert not is_transitive([Permutation((2, 1, 3))], 3)
@@ -185,6 +195,10 @@ def test_oracle_leaves_no_cyclic_garbage():
             gc.collect()
             find_witness(datum)
             assert gc.collect() == 0
+        list(enumerate_data(7, 3))
+        assert gc.collect() == 0
+        assert search_certificate(KLEIN) is None  # the whole grid, no certificate
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
@@ -208,6 +222,8 @@ def _outcome(result):
 def test_oracle_matches_reference(monkeypatch):
     data = [datum for degree in range(2, 10) for datum in enumerate_data(degree, 3)]
     data += [datum for degree in range(4, 8) for datum in enumerate_data(degree, 4)]
+    # two outer levels of enumeration
+    data += [datum for degree in range(3, 7) for datum in enumerate_data(degree, 5)]
     for datum in data:
         assert _outcome(find_witness(datum)) == _outcome(reference_find_witness(datum))
 
