@@ -8,7 +8,9 @@ numerators over a common denominator, so every comparison is exact.
 `decide_admissible` and `l1_distance_to_odd_lattice` scale their input
 and wrap the answer.  The checks up to the odd-lattice distance live in
 `screen_scaled`, on terms that add over a concatenation of vectors, so
-the certificate search can screen a lifted vector from per-row sums.
+the certificate search can screen a lifted vector from per-row sums;
+the rules at distance exactly 1 live in `boundary_scaled`, which the
+search calls directly once those sums have given the distance.
 
 A vector of cone angles admits a spherical cone metric on the sphere
 exactly when, after discarding unit entries, one of these holds for the
@@ -291,9 +293,9 @@ def screen_scaled(count: int, shift: int, cost: int | None, parity: int, flip: i
     flip of `round_scaled`.  The checks: nothing left, a single angle, a
     non-positive Gauss-Bonnet margin, then the distance against 1.
     Returns (case, why, distance), distance scaled and None if not yet
-    needed; case is None at distance exactly 1, where the boundary rules
-    of `decide_scaled` decide.  With `cost` None only the checks before
-    the distance run, and case None says that they passed.
+    needed; case is None at distance exactly 1, where `boundary_scaled`
+    decides.  With `cost` None only the checks before the distance run,
+    and case None says that they passed.
     """
     if count == 0:
         return CASE_EMPTY, None, None
@@ -320,8 +322,9 @@ def decide_scaled(nums: Sequence[int], scale: int) -> tuple:
     case-D witness, and why, for case NONE, a reason template with the
     scaled value it formats.  Units are stripped, `screen_scaled` runs
     the checks up to the distance (the vector is rounded only once those
-    before the distance pass), and at distance exactly 1 the boundary
-    rules B, C and D of the module docstring decide.
+    before the distance pass), and at distance exactly 1
+    `boundary_scaled` applies the rules B, C and D of the module
+    docstring.
     """
     shifted = [v - scale for v in nums if v != scale]
     count, shift = len(shifted), sum(shifted)
@@ -333,19 +336,32 @@ def decide_scaled(nums: Sequence[int], scale: int) -> tuple:
     lattice = distance, nearest
     if case is not None:
         return case, lattice, None, why
+    case, coaxial, why = boundary_scaled(shifted, scale)
+    return case, lattice, coaxial, why
+
+
+def boundary_scaled(shifted: Sequence[int], scale: int) -> tuple:
+    """The rules B, C and D at odd-lattice distance exactly 1.
+
+    `shifted` holds the non-unit entries of a vector over `scale`, each
+    shifted by -scale; there are at least two, their Gauss-Bonnet margin
+    is positive and their distance is exactly 1, as `screen_scaled`
+    establishes.  Returns (case, coaxial, why) as `decide_scaled` reports
+    them.
+    """
     integral = sum(1 for v in shifted if v % scale == 0)
     if len(shifted) == 2 and shifted[0] == shifted[1] and not integral:
-        return CASE_B, lattice, None, None
+        return CASE_B, None, None
     if integral == len(shifted):
         if 2 * max(shifted) <= sum(shifted):
-            return CASE_C, lattice, None, None
-        return CASE_NONE, lattice, None, (_INTEGRAL, 0)
+            return CASE_C, None, None
+        return CASE_NONE, None, (_INTEGRAL, 0)
     if integral:
         witness = coaxial_check([Fraction(v + scale, scale) for v in shifted])
         if witness is not None:
-            return CASE_D, lattice, witness, None
-        return CASE_NONE, lattice, None, (_NO_COAXIAL, 0)
-    return CASE_NONE, lattice, None, (_NON_INTEGRAL, 0)
+            return CASE_D, witness, None
+        return CASE_NONE, None, (_NO_COAXIAL, 0)
+    return CASE_NONE, None, (_NON_INTEGRAL, 0)
 
 
 def decide_admissible(beta: Iterable) -> AdmissibilityVerdict:

@@ -9,10 +9,13 @@ inadmissible lift) is a self-contained certificate that anyone can
 recheck with the admissibility decision alone.
 
 `search_certificate` tries family seeds, then a cached grid of small
-fractions kept as index tuples.  Per row and grid value it tabulates the
-`angles.screen_scaled` terms of the lifted entries; summed over the rows
-they settle most lifts, and only those at odd-lattice distance exactly 1
-go through the full `angles.decide_scaled`.
+fractions kept as runs of index tuples that differ only in their last
+entry.  Per row and grid value it tabulates the `angles.screen_scaled`
+terms of the lifted entries.  A lift whose summed rounding cost exceeds 1
+is case A from that sum alone, so the walk sums each run's prefix once
+and skips those lifts without looking at them; the summed terms settle
+most of the rest, and only lifts at odd-lattice distance exactly 1 go
+through `angles.boundary_scaled`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import getitem
 from typing import Iterable, Sequence
 
 from .angles import (
@@ -30,8 +34,8 @@ from .angles import (
     angles_from_json,
     angles_to_json,
     as_angles,
+    boundary_scaled,
     decide_admissible,
-    decide_scaled,
     round_scaled,
     scaled_numerators,
     screen_scaled,
@@ -176,7 +180,7 @@ def _lift_case(rows: Sequence[Sequence[int]], tables: Sequence[list[tuple]],
                nums: Sequence[int], idx: tuple[int, ...], scale: int) -> str:
     # The admissibility case of the lift through `rows` of the grid vector
     # whose entry r is nums[idx[r]] / scale.  It is screened from the sums
-    # of the row tables and decided in full only at distance exactly 1.
+    # of the row tables; at distance exactly 1 the boundary rules decide.
     count = shift = cost = parity = 0
     flip = scale
     for table, i in zip(tables, idx):
@@ -189,17 +193,20 @@ def _lift_case(rows: Sequence[Sequence[int]], tables: Sequence[list[tuple]],
             flip = f
     case = screen_scaled(count, shift, cost, parity, flip, scale)[0]
     if case is None:
-        lifted = [m * nums[i] for i, parts in zip(idx, rows) for m in parts]
-        case = decide_scaled(lifted, scale)[0]
+        shifted = [m * nums[i] - scale for i, parts in zip(idx, rows)
+                   for m in parts if m * nums[i] != scale]
+        case = boundary_scaled(shifted, scale)[0]
     return case
 
 
 @lru_cache(maxsize=None)
 def _admissible_grid(n: int, max_numerator: int, max_denominator: int
-                     ) -> tuple[tuple[int, ...], ...]:
+                     ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     # Candidate base vectors, as index tuples into `_grid_values`, ordered by
     # (largest denominator, lexicographic) and pre-filtered to the admissible
-    # ones; inadmissible bases never certify.  The vectors whose largest
+    # ones; inadmissible bases never certify.  They are kept as runs
+    # (prefix, lasts): the vectors prefix + (i,) for i in lasts, ascending,
+    # so that flattening the runs lists the grid.  The vectors whose largest
     # denominator is q come out in order from the lexicographic product of
     # the values with denominator <= q.
     values = _grid_values(max_numerator, max_denominator)
@@ -207,15 +214,17 @@ def _admissible_grid(n: int, max_numerator: int, max_denominator: int
     nums = scaled_numerators(values, scale)
     rows = [(1,)] * n
     tables = [_row_table((1,), nums, scale)] * n
-    grid = []
+    runs = []
     for q in range(1, max_denominator + 1):
         pool = [i for i, v in enumerate(values) if v.denominator <= q]
-        for idx in itertools.product(pool, repeat=n):
-            if all(values[i].denominator != q for i in idx):
-                continue
-            if _lift_case(rows, tables, nums, idx, scale) != CASE_NONE:
-                grid.append(idx)
-    return tuple(grid)
+        top = [i for i in pool if values[i].denominator == q]
+        for prefix in itertools.product(pool, repeat=n - 1):
+            tops = pool if any(values[i].denominator == q for i in prefix) else top
+            lasts = tuple(i for i in tops if _lift_case(
+                rows, tables, nums, prefix + (i,), scale) != CASE_NONE)
+            if lasts:
+                runs.append((prefix, lasts))
+    return tuple(runs)
 
 
 def _family_candidates(datum: BranchDatum) -> list[tuple[Fraction, ...]]:
@@ -253,7 +262,9 @@ def search_certificate(
     of some row), then `extra_candidates`, then every vector with entries
     p/q, p <= max_numerator, q <= max_denominator, ordered by largest
     denominator and then lexicographically.  The first certificate found
-    is returned, so identical inputs give identical output.  Raises
+    is returned, so identical inputs give identical output.  Grid vectors
+    whose lift is admissible by its summed rounding cost alone are passed
+    over undecided; that changes neither the order nor the answer.  Raises
     ValueError when the datum is not valid or a grid bound is below 1.
     """
     require_grid_bounds(max_numerator, max_denominator)
@@ -284,15 +295,26 @@ def search_certificate(
         if found is not None:
             return found
     # Every grid vector is admissible, so the first one whose lift is not
-    # certifies.  A lift is screened from per-row sums over the grid's
-    # denominator; only lifts at odd-lattice distance exactly 1 are decided
-    # in full.
+    # certifies.  By Riemann-Hurwitz the lifted Gauss-Bonnet margin is the
+    # degree times the base margin, so it is positive; the odd-lattice
+    # distance is at least the summed rounding cost, and an entry costs at
+    # most half the grid's denominator.  So a lift whose summed row cost
+    # exceeds that denominator has three or more non-unit entries and is
+    # case A: it is skipped.  The rest are screened from per-row sums, and
+    # only lifts at distance exactly 1 are decided in full.
     values = _grid_values(max_numerator, max_denominator)
     scale = _grid_scale(max_denominator)
     nums = scaled_numerators(values, scale)
     rows = [row.parts for row in datum.rows]
     tables = [_row_table(parts, nums, scale) for parts in rows]
-    for idx in _admissible_grid(n, max_numerator, max_denominator):
-        if _lift_case(rows, tables, nums, idx, scale) == CASE_NONE:
-            return try_one(tuple(values[i] for i in idx))
+    costs = [[term[2] for term in table] for table in tables]
+    last_cost = costs[-1]
+    for prefix, lasts in _admissible_grid(n, max_numerator, max_denominator):
+        room = scale - sum(map(getitem, costs, prefix))
+        for i in lasts:
+            if last_cost[i] > room:
+                continue
+            idx = prefix + (i,)
+            if _lift_case(rows, tables, nums, idx, scale) == CASE_NONE:
+                return try_one(tuple(values[i] for i in idx))
     return None

@@ -222,9 +222,12 @@ def _place_cycles(counts: Counter, lengths: list[int], images: list[int],
 
 
 def conjugacy_class_iter(t, degree: int) -> Iterator[Permutation]:
-    """Every permutation of cycle type t, each exactly once, fixed order."""
-    for images in _class_images(_parts_of(t, degree), degree):
-        yield Permutation(images)
+    """Every permutation of cycle type t, each exactly once, fixed order.
+
+    The type is checked on the call, before any member is drawn.
+    """
+    parts = _parts_of(t, degree)
+    return (Permutation(images) for images in _class_images(parts, degree))
 
 
 def is_transitive(perms: Sequence[Permutation], degree: int) -> bool:

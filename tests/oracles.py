@@ -19,13 +19,16 @@ from conecover import (
     CASE_NONE,
     BranchDatum,
     CoaxialWitness,
+    ExceptionalityCertificate,
     Permutation,
     coaxial_check,
     cycle_type,
+    decide_admissible,
     validate_datum,
 )
 from conecover.angles import as_angles, decide_scaled
 from conecover.branch_data import require_valid
+from conecover.lift import _family_candidates
 from conecover.monodromy import (
     DEFAULT_BUDGET,
     REALIZABLE,
@@ -170,6 +173,31 @@ def reference_lift_decision(nums, rows, scale):
     lifted = [m * x for x, parts in zip(nums, rows) for m in parts]
     case, lattice, _, _ = decide_scaled(lifted, scale)
     return case, None if lattice is None else lattice[0]
+
+
+def reference_search_certificate(datum, max_numerator, max_denominator):
+    """`search_certificate` with no row tables, no grid cache and no skip.
+
+    The family seeds of `lift._family_candidates` come first, then every
+    vector of values p/q with p <= max_numerator and q <= max_denominator,
+    ordered by largest denominator and then lexicographically.  The first
+    vector that `decide_admissible` accepts and whose lift it rejects
+    certifies.
+    """
+    require_valid(datum)
+    values = sorted({Fraction(p, q) for p in range(1, max_numerator + 1)
+                     for q in range(1, max_denominator + 1)})
+    grid = sorted(itertools.product(values, repeat=len(datum.rows)),
+                  key=lambda vec: (max(v.denominator for v in vec), vec))
+    for vec in _family_candidates(datum) + grid:
+        base = decide_admissible(vec)
+        if not base.admissible:
+            continue
+        lifted = tuple(m * b for b, row in zip(vec, datum.rows) for m in row.parts)
+        verdict = decide_admissible(lifted)
+        if not verdict.admissible:
+            return ExceptionalityCertificate(datum, vec, base, lifted, verdict)
+    return None
 
 
 def reference_coaxial(beta):

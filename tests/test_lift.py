@@ -1,6 +1,7 @@
 """Angle lifting, exceptionality certificates, and the certificate search."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -8,7 +9,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conecover import (
     BranchDatum,
@@ -27,7 +28,7 @@ from conecover import (
 from conecover import lift as lift_mod
 from conecover.angles import scaled_numerators
 
-from oracles import reference_lift_decision
+from oracles import reference_lift_decision, reference_search_certificate
 
 D4 = parse_datum("4: 3,1 | 2,2 | 2,2")
 # construction order kept on purpose; parse_datum would sort the rows
@@ -178,9 +179,11 @@ def test_search_candidate_order(monkeypatch):
 
 
 def grid_vectors(n, max_numerator, max_denominator):
+    # the grid's runs (prefix, lasts) flattened into its vectors, in order
     values = lift_mod._grid_values(max_numerator, max_denominator)
-    grid = lift_mod._admissible_grid(n, max_numerator, max_denominator)
-    return tuple(tuple(values[i] for i in idx) for idx in grid)
+    runs = lift_mod._admissible_grid(n, max_numerator, max_denominator)
+    return tuple(tuple(values[i] for i in prefix + (last,))
+                 for prefix, lasts in runs for last in lasts)
 
 
 def test_grid_order_is_frozen():
@@ -232,28 +235,73 @@ def test_row_screen_matches_full_decision(lift):
     idx = tuple(range(len(rows)))
     case, distance = reference_lift_decision(nums, rows, scale)
     assert lift_mod._lift_case(rows, tables, nums, idx, scale) == case
-    # only lifts at distance exactly 1 fall through to decide_scaled
+    # only lifts at distance exactly 1 fall through to boundary_scaled
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lift_mod, "decide_scaled", lambda *args: (None,))
+        patch.setattr(lift_mod, "boundary_scaled", lambda *args: (None,))
         screened = lift_mod._lift_case(rows, tables, nums, idx, scale)
     assert (screened is None) == (distance == scale)
     if screened is not None:
         assert screened == case
 
 
-def test_search_certificates_are_frozen():
-    # every 3-point datum of degree 3-8, the search's JSON hashed in order
+def certificates_digest(degrees, n):
+    # every n-point datum of these degrees, the search's JSON hashed in order;
+    # returns (data, certified, digest)
     digest = hashlib.sha256()
-    count = 0
-    for degree in range(3, 9):
-        for datum in enumerate_data(degree, 3):
+    count = certified = 0
+    for degree in degrees:
+        for datum in enumerate_data(degree, n):
             cert = search_certificate(datum)
             blob = None if cert is None else cert.to_json()
             digest.update(json.dumps(blob).encode() + b"\n")
             count += 1
+            certified += cert is not None
+    return count, certified, digest.hexdigest()
+
+
+def test_search_certificates_are_frozen():
+    count, _, digest = certificates_digest(range(3, 9), 3)
     assert count == 386
-    assert digest.hexdigest() == (
+    assert digest == (
         "88132d22de087947f15ba66e0b0ca4a3efebba7385f27ef1fdac929195c5324b")
+
+
+def test_four_point_certificates_are_frozen():
+    count, certified, digest = certificates_digest(range(4, 7), 4)
+    assert (count, certified) == (90, 2)
+    assert digest == (
+        "2ebb8cc31ed04c9dade4bd01932ea713d245591f95df0ec2e4620c91fec54bdd")
+
+
+@functools.lru_cache(maxsize=None)
+def valid_data(degree, n):
+    return tuple(enumerate_data(degree, n))
+
+
+@st.composite
+def search_inputs(draw):
+    # a valid datum of degree <= 8 with 1-4 rows in any row order (no
+    # one-row datum is valid: its defect is below 2 * degree - 2), and
+    # grid bounds <= 4/4
+    degree = draw(st.integers(min_value=2, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=4))
+    pool = valid_data(degree, n)
+    assume(pool)
+    rows = draw(st.permutations(draw(st.sampled_from(pool)).rows))
+    bounds = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    return (BranchDatum(degree, tuple(rows)),) + bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_inputs())
+@example((parse_datum("5: 5 | 5"), 6, 6))                        # 2 rows, exhausts
+@example((parse_datum("4: 2,2 | 2,2 | 2,2"), 6, 6))              # 3 rows, exhausts
+@example((parse_datum("8: 4,4 | 3,2,2,1 | 2,2,2,2"), 6, 6))      # 3 rows, grid certifies
+def test_search_matches_reference(inputs):
+    datum, max_numerator, max_denominator = inputs
+    cert = search_certificate(datum, max_numerator, max_denominator)
+    ref = reference_search_certificate(datum, max_numerator, max_denominator)
+    assert (cert and cert.to_json()) == (ref and ref.to_json())
 
 
 @pytest.mark.parametrize("bounds", [(6, 0), (6, -3), (0, 6)])

@@ -121,6 +121,8 @@ def test_class_functions_reject_a_type_of_another_degree():
     with pytest.raises(ValueError, match="does not partition"):
         class_size((3, 1), 5)
     with pytest.raises(ValueError, match="does not partition"):
+        conjugacy_class_iter((3, 1), 5)
+    with pytest.raises(ValueError, match="does not partition"):
         list(conjugacy_class_iter((3, 1), 5))
 
 
