@@ -8,14 +8,15 @@ no cover with that datum can exist.  The pair (admissible base vector,
 inadmissible lift) is a self-contained certificate that anyone can
 recheck with the admissibility decision alone.
 
-`search_certificate` tries family seeds, then a cached grid of small
-fractions kept as runs of index tuples that differ only in their last
-entry.  Per row and grid value it tabulates the `angles.screen_scaled`
-terms of the lifted entries.  A lift whose summed rounding cost exceeds 1
-is case A from that sum alone, so the walk sums each run's prefix once
-and skips those lifts without looking at them; the summed terms settle
-most of the rest, and only lifts at odd-lattice distance exactly 1 go
-through `angles.boundary_scaled`.
+One rule, `certify_exceptional`, decides every candidate of the search
+and every certificate the verifier rechecks.  `search_certificate` streams
+family seeds, extra candidates, then a cached grid of small fractions kept
+as runs of index tuples that differ only in their last entry; an integer
+screen filters the grid.  Per row and grid value it tabulates the
+`angles.screen_scaled` terms of the lifted entries.  A lift whose summed
+rounding cost exceeds 1 is case A from that sum alone, so the walk sums
+each run's prefix once and skips it; the summed terms settle most of the
+rest, and only lifts at distance exactly 1 reach `angles.boundary_scaled`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import getitem
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .angles import (
     CASE_NONE,
@@ -40,7 +41,7 @@ from .angles import (
     scaled_numerators,
     screen_scaled,
 )
-from .branch_data import BranchDatum, require_valid, validate_datum
+from .branch_data import BranchDatum, require_valid
 
 
 class CertificationRefused(Exception):
@@ -113,10 +114,10 @@ def certify_exceptional(datum: BranchDatum, beta: Iterable) -> ExceptionalityCer
     """
     require_valid(datum)
     vals = as_angles(beta)
+    lifted = lift_angles(vals, datum)
     base_verdict = decide_admissible(vals)
     if not base_verdict.admissible:
         raise CertificationRefused("base-not-admissible", base_verdict)
-    lifted = lift_angles(vals, datum)
     lifted_verdict = decide_admissible(lifted)
     if lifted_verdict.admissible:
         raise CertificationRefused("lift-admissible", base_verdict, lifted_verdict)
@@ -125,20 +126,13 @@ def certify_exceptional(datum: BranchDatum, beta: Iterable) -> ExceptionalityCer
 
 def verify_certificate(cert: ExceptionalityCertificate) -> bool:
     """Recheck a certificate from scratch, trusting none of its verdicts."""
-    if not validate_datum(cert.datum).ok:
+    try:
+        fresh = certify_exceptional(cert.datum, cert.witness_beta)
+    except (CertificationRefused, ValueError):
         return False
-    if len(cert.witness_beta) != len(cert.datum.rows):
-        return False
-    if any(b <= 0 for b in cert.witness_beta):
-        return False
-    if lift_angles(cert.witness_beta, cert.datum) != tuple(cert.lifted):
-        return False
-    base = decide_admissible(cert.witness_beta)
-    lifted = decide_admissible(cert.lifted)
-    if not base.admissible or lifted.admissible:
-        return False
-    # The stored verdicts must claim what we just recomputed.
-    return cert.base_verdict.admissible and not cert.lifted_verdict.admissible
+    # The stored lift and verdicts must claim what we just recomputed.
+    return (fresh.lifted == tuple(cert.lifted) and cert.base_verdict.admissible
+            and not cert.lifted_verdict.admissible)
 
 
 @lru_cache(maxsize=None)
@@ -249,6 +243,32 @@ def _family_candidates(datum: BranchDatum) -> list[tuple[Fraction, ...]]:
     return out
 
 
+def _grid_candidates(datum: BranchDatum, max_numerator: int, max_denominator: int
+                     ) -> Iterator[tuple[Fraction, ...]]:
+    # In grid order, the grid vectors (all admissible) whose lift the integer
+    # screen finds inadmissible.  By Riemann-Hurwitz the lifted Gauss-Bonnet
+    # margin is the degree times the base margin, so positive; the odd-lattice
+    # distance is at least the summed rounding cost, and an entry costs at
+    # most half the grid's denominator.  So a lift whose summed row cost
+    # exceeds that denominator has three or more non-unit entries and is case
+    # A: it is skipped.  The rest are screened from per-row sums.
+    values = _grid_values(max_numerator, max_denominator)
+    scale = _grid_scale(max_denominator)
+    nums = scaled_numerators(values, scale)
+    rows = [row.parts for row in datum.rows]
+    tables = [_row_table(parts, nums, scale) for parts in rows]
+    costs = [[term[2] for term in table] for table in tables]
+    last_cost = costs[-1]
+    for prefix, lasts in _admissible_grid(len(rows), max_numerator, max_denominator):
+        room = scale - sum(map(getitem, costs, prefix))
+        for i in lasts:
+            if last_cost[i] > room:
+                continue
+            idx = prefix + (i,)
+            if _lift_case(rows, tables, nums, idx, scale) == CASE_NONE:
+                yield tuple(values[i] for i in idx)
+
+
 def search_certificate(
     datum: BranchDatum,
     max_numerator: int = 6,
@@ -261,60 +281,25 @@ def search_certificate(
     half with two-thirds; 1 with 1/r for each r >= 2 dividing every part
     of some row), then `extra_candidates`, then every vector with entries
     p/q, p <= max_numerator, q <= max_denominator, ordered by largest
-    denominator and then lexicographically.  The first certificate found
-    is returned, so identical inputs give identical output.  Grid vectors
-    whose lift is admissible by its summed rounding cost alone are passed
-    over undecided; that changes neither the order nor the answer.  Raises
-    ValueError when the datum is not valid or a grid bound is below 1.
+    denominator and then lexicographically.  The first candidate that
+    `certify_exceptional` accepts is returned, so identical inputs give
+    identical output.  Grid vectors whose lift the integer screen finds
+    admissible are passed over undecided; that changes neither the order
+    nor the answer.  Raises ValueError when the datum is not valid, a grid
+    bound is below 1, or a reached extra candidate is malformed.
     """
     require_grid_bounds(max_numerator, max_denominator)
     require_valid(datum)
-    n = len(datum.rows)
-
-    def try_one(vals: tuple[Fraction, ...]) -> ExceptionalityCertificate | None:
-        lifted = lift_angles(vals, datum)
-        lifted_verdict = decide_admissible(lifted)
-        if lifted_verdict.admissible:
-            return None
-        base_verdict = decide_admissible(vals)
-        if not base_verdict.admissible:
-            return None
-        return ExceptionalityCertificate(datum, vals, base_verdict, lifted, lifted_verdict)
-
-    for cand in _family_candidates(datum):
-        found = try_one(cand)
-        if found is not None:
-            return found
-    for cand in extra_candidates:
-        vals = as_angles(cand)
-        if len(vals) != n:
-            raise ValueError(
-                f"extra candidate {vals} has {len(vals)} entries for {n} rows"
-            )
-        found = try_one(vals)
-        if found is not None:
-            return found
-    # Every grid vector is admissible, so the first one whose lift is not
-    # certifies.  By Riemann-Hurwitz the lifted Gauss-Bonnet margin is the
-    # degree times the base margin, so it is positive; the odd-lattice
-    # distance is at least the summed rounding cost, and an entry costs at
-    # most half the grid's denominator.  So a lift whose summed row cost
-    # exceeds that denominator has three or more non-unit entries and is
-    # case A: it is skipped.  The rest are screened from per-row sums, and
-    # only lifts at distance exactly 1 are decided in full.
-    values = _grid_values(max_numerator, max_denominator)
-    scale = _grid_scale(max_denominator)
-    nums = scaled_numerators(values, scale)
-    rows = [row.parts for row in datum.rows]
-    tables = [_row_table(parts, nums, scale) for parts in rows]
-    costs = [[term[2] for term in table] for table in tables]
-    last_cost = costs[-1]
-    for prefix, lasts in _admissible_grid(n, max_numerator, max_denominator):
-        room = scale - sum(map(getitem, costs, prefix))
-        for i in lasts:
-            if last_cost[i] > room:
-                continue
-            idx = prefix + (i,)
-            if _lift_case(rows, tables, nums, idx, scale) == CASE_NONE:
-                return try_one(tuple(values[i] for i in idx))
+    candidates = itertools.chain(
+        _family_candidates(datum),
+        map(as_angles, extra_candidates),
+        _grid_candidates(datum, max_numerator, max_denominator),
+    )
+    for vals in candidates:
+        # Deciding the lift first passes over most candidates in one step.
+        if not decide_admissible(lift_angles(vals, datum)).admissible:
+            try:
+                return certify_exceptional(datum, vals)
+            except CertificationRefused:
+                pass
     return None

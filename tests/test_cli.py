@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from conecover import all_instances, enumerate_data, format_datum
-from conecover import cli
+from conecover import all_instances, enumerate_data, format_datum, parse_datum
+from conecover import cli, monodromy
 from conecover.cli import main
 
 D4 = "4: 3,1 | 2,2 | 2,2"
@@ -227,6 +227,24 @@ def test_catalog_refuses_a_certified_realizable_datum(capsys, monkeypatch):
     assert datum in str(info.value)
 
 
+def test_catalog_oracle_verdict(capsys, monkeypatch):
+    # no grid certificate exists for this datum, but the oracle exhausts it
+    datum = parse_datum("10: 3,3,3,1 | 3,3,3,1 | 3,3,3,1")
+    monkeypatch.setattr(cli, "enumerate_data",
+                        lambda degree, n: iter([datum] if degree == 10 else []))
+    code, out, _ = invoke(capsys, "catalog", "--max-degree", "10")
+    assert code == 0
+    lines = json_lines(out)
+    assert len(lines) == 2
+    row, last = lines
+    assert row["datum"] == datum.to_json()
+    assert row["verdict"] == "EXCEPTIONAL_ORACLE"
+    assert "certificate" not in row and "witness" not in row
+    summary = {str(d): {} for d in range(2, 10)}
+    summary["10"] = {"EXCEPTIONAL_ORACLE": 1}
+    assert last == {"summary": summary}
+
+
 def test_catalog_table(capsys):
     code, out, _ = invoke(capsys, "catalog", "--max-degree", "3", "--table")
     assert code == 0
@@ -325,6 +343,20 @@ def test_verify_witness_accepts_datum_text(capsys, tmp_path):
     path.write_text(json.dumps(blob))
     code, out, _ = invoke(capsys, "verify-witness", str(path))
     assert code == 0 and json.loads(out) == {"valid": True}
+
+
+def test_verify_witness_rejects_another_degree_unparsed(capsys, tmp_path, monkeypatch):
+    _, out, _ = invoke(capsys, "realize", KLEIN)
+    blob = json.loads(out)
+    blob["witness"]["degree"] = 4_000_000
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(blob))
+    parsed = []
+    monkeypatch.setattr(monodromy, "parse_cycles",
+                        lambda *args: parsed.append(args))
+    code, out, _ = invoke(capsys, "verify-witness", str(path))
+    assert code == 1 and json.loads(out) == {"valid": False}
+    assert parsed == []
 
 
 def test_verify_handles_bad_files(capsys, tmp_path):

@@ -128,6 +128,22 @@ def test_verify_rejects_tampering():
     wrong_datum = dataclasses.replace(cert, datum=BranchDatum(4, ((3, 1), (2, 2))))
     assert not verify_certificate(wrong_datum)
 
+    short_beta = dataclasses.replace(cert, witness_beta=(1, F(1, 2)))
+    assert not verify_certificate(short_beta)
+
+    zero_beta = dataclasses.replace(cert, witness_beta=(1, F(1, 2), F(0)))
+    assert not verify_certificate(zero_beta)
+
+    inadmissible = decide_admissible((F(1, 2), F(3, 2), 1))
+    assert not inadmissible.admissible
+    base_claims_no = dataclasses.replace(cert, base_verdict=inadmissible)
+    assert not verify_certificate(base_claims_no)
+
+    admissible = decide_admissible((1, 1, 1))
+    assert admissible.admissible
+    lift_claims_yes = dataclasses.replace(cert, lifted_verdict=admissible)
+    assert not verify_certificate(lift_claims_yes)
+
 
 def test_search_frozen_results():
     cert = search_certificate(D4)
@@ -176,6 +192,18 @@ def test_search_candidate_order(monkeypatch):
     cert = search_certificate(D4)
     assert cert is not None
     assert verify_certificate(cert)
+
+
+def test_screen_is_only_a_filter(monkeypatch):
+    # with the integer screen passing every grid lift, the certificate rule
+    # alone still picks the same first certificate and still finds none; the
+    # grid is built first, since building it runs the screen too
+    lift_mod._admissible_grid(3, 6, 6)
+    monkeypatch.setattr(lift_mod, "_lift_case", lambda *args: lift_mod.CASE_NONE)
+    cert = search_certificate(parse_datum("8: 4,4 | 3,2,2,1 | 2,2,2,2"))
+    assert cert is not None
+    assert cert.witness_beta == (F(1, 4), F(1, 3), F(1, 2))
+    assert search_certificate(KLEIN) is None
 
 
 def grid_vectors(n, max_numerator, max_denominator):
