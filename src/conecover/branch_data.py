@@ -238,10 +238,11 @@ def enumerate_data(degree: int, branch_points: int) -> Iterator[BranchDatum]:
         raise ValueError(f"degree must be at least 2, got {degree}")
     if branch_points < 1:
         raise ValueError(f"need at least one branch point, got {branch_points}")
-    pool = [p for p in partitions_of(degree) if p[0] >= 2]
-    defects = [degree - len(p) for p in pool]
+    # Partitions are frozen, so equal rows of different data share one.
+    pool = [Partition(p) for p in partitions_of(degree) if p[0] >= 2]
+    defects = [p.defect for p in pool]
     for combo in _defect_combos(defects, 0, 2 * degree - 2, branch_points, degree - 1, []):
-        yield BranchDatum(degree, tuple(Partition(pool[i]) for i in combo))
+        yield BranchDatum(degree, tuple([pool[i] for i in combo]))
 
 
 def _defect_combos(defects: list[int], start: int, left: int, remaining: int,

@@ -6,7 +6,7 @@ types are the rows, whose product s_1 * s_2 * ... * s_n is the identity,
 and which generate a transitive subgroup.  This module searches for such
 a tuple directly.
 
-Three reductions keep the search small.  Realizability is invariant
+Four reductions keep the search small.  Realizability is invariant
 under conjugating the whole tuple, so one permutation (the largest
 conjugacy class among those enumerated) is pinned to a canonical class
 representative.  The product condition determines any one permutation
@@ -15,11 +15,16 @@ enumerated at all: its inverse is the product of the slots after it and
 then those before it, and only the cycle type of that product is tested
 (a permutation and its inverse share it).  A cyclic rotation of the
 factors is a conjugate, so the product is taken with the deepest
-enumerated slot last and costs one composition per node.  And a count
-can stand in for exhaustion: a search that has visited `_COUNT_PROBE`
-nodes without a witness asks `counting` for the number of transitive
-tuples, and a count of zero ends it with the answer exhaustion would
-give.  Permutations compose left to right: (p * q)(x) = q(p(x)).
+enumerated slot last and costs one composition per node.  As the
+deepest slot is placed cycle by cycle, the search follows that conjugate
+through the placed points: a placement that closes a cycle of a length
+the derived row lacks, or a path longer than its longest cycle, rules out
+every tuple below it, and they count as examined without being built.
+And a count can stand in for exhaustion: a search whose position reaches
+`_COUNT_PROBE` without a witness asks `counting` for the number of
+transitive tuples, and a count of zero ends it with the answer
+exhaustion would give.  Permutations compose left to right:
+(p * q)(x) = q(p(x)).
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from .branch_data import BranchDatum, Partition, require_valid
 
 DEFAULT_BUDGET = 10**8
 
-# A count costs a few milliseconds at degree 8-10, as much as a few hundred
-# nodes, and 96% of the realizable 3-point data of degree 9-10 and
-# 4-point data of degree 8 show a witness within this many nodes; so only
-# a search that has visited this many without one asks for the count.
+# 96% of the realizable 3-point data of degree 9-10 and 4-point data of
+# degree 8 show a witness within this many nodes, skipped ones included,
+# so only a search that reaches this position without one counts; at about
+# 2.6 us a node, a count of a few ms costs as much as a thousand nodes.
 _COUNT_PROBE = 1000
 
 REALIZABLE = "realizable"
@@ -98,10 +103,13 @@ class MonodromyWitness:
 class OracleResult:
     """Search outcome: status plus a witness when realizable.
 
-    `nodes` counts the complete candidate tuples examined; a budgeted
-    search that runs out reports UNKNOWN.  UNREALIZABLE is reported only
-    when the whole space is covered, by the search or by a count of zero
-    transitive tuples, and its `nodes` is the size of that space either way.
+    `nodes` counts the complete candidate tuples examined, in search
+    order; tuples skipped because part of their product already has the
+    wrong cycle type count as examined.  A budgeted search that runs out
+    reports UNKNOWN, with `nodes` one past the budget.  UNREALIZABLE is
+    reported only when the whole space is covered, by the search or by a
+    count of zero transitive tuples, and its `nodes` is the size of that
+    space either way.
     """
 
     status: str
@@ -167,31 +175,37 @@ def canonical_of_type(t, degree: int) -> Permutation:
 
 def class_size(t, degree: int) -> int:
     """Order of the conjugacy class: d! / (prod parts * prod mult!)."""
-    parts = _parts_of(t, degree)
-    size = factorial(degree)
-    for length, mult in Counter(parts).items():
+    return _class_order(Counter(_parts_of(t, degree)), degree)
+
+
+def _class_order(counts: Counter, free: int) -> int:
+    # How many ways the cycles in `counts` can be placed on `free` points.
+    size = factorial(free)
+    for length, mult in counts.items():
         size //= length**mult * factorial(mult)
     return size
 
 
-def _class_images(parts: tuple[int, ...], degree: int) -> Iterator[tuple[int, ...]]:
-    # Every permutation of the given cycle type exactly once: the smallest
-    # unplaced element leads the next cycle, whose remaining entries run
-    # over ordered selections of the unplaced elements.
+def _class_images(parts: tuple[int, ...], degree: int, walk=None) -> Iterator:
+    # Each permutation of the type once, as one list rewritten in place: the
+    # smallest unplaced element leads the next cycle, whose other entries
+    # run over ordered selections of the unplaced elements.
     counts = Counter(parts)
     images = list(range(1, degree + 1))
-    return _place_cycles(counts, sorted(counts), images, [False] * (degree + 1), 0)
+    return _place_cycles(counts, sorted(counts), images, [False] * (degree + 1), 0, walk)
 
 
 def _place_cycles(counts: Counter, lengths: list[int], images: list[int],
-                  used: list[bool], placed: int) -> Iterator[tuple[int, ...]]:
+                  used: list[bool], placed: int, walk) -> Iterator:
     # Yields `images` once for each way to place the cycles left in `counts`
     # on the points `used` leaves free; once exhausted it leaves all three
-    # as it found them.
+    # as it found them.  With a `walk` (see `_closes_wrong`), a placement
+    # after which the conjugate x -> images[index[x]] cannot have the cycle
+    # type `need` yields, instead of its subtree, the subtree's size.
     degree = len(images)
     if counts[1] == degree - placed:
         # Only fixed points are left, and images fixes every unplaced point.
-        yield tuple(images)
+        yield images
         return
     lead = 1
     while used[lead]:
@@ -202,23 +216,63 @@ def _place_cycles(counts: Counter, lengths: list[int], images: list[int],
         if counts[length] == 0:
             continue
         counts[length] -= 1
-        if length == 1:
-            yield from _place_cycles(counts, lengths, images, used, placed + 1)
-        else:
-            for tail in itertools.permutations(rest, length - 1):
-                for e in tail:
-                    used[e] = True
-                images[lead - 1] = tail[0]
-                for a, b in zip(tail, tail[1:]):
-                    images[a - 1] = b
-                images[tail[-1] - 1] = lead
-                yield from _place_cycles(counts, lengths, images, used, placed + length)
-                images[lead - 1] = lead
-                for e in tail:
-                    images[e - 1] = e
-                    used[e] = False
+        below = 0
+        for tail in itertools.permutations(rest, length - 1):
+            cycle = (lead,) + tail
+            for a, b in zip(cycle, tail + (lead,)):
+                images[a - 1] = b
+                used[b] = True
+            if walk is not None and _closes_wrong(walk, images, used, cycle):
+                below = below or _class_order(counts, degree - placed - length)
+                yield below
+            else:
+                yield from _place_cycles(counts, lengths, images, used, placed + length, walk)
+            for e in tail:
+                images[e - 1] = e
+                used[e] = False
+        images[lead - 1] = lead
         counts[length] += 1
     used[lead] = False
+
+
+def _closes_wrong(walk, images: list[int], used: list[bool], points) -> bool:
+    # Whether the conjugate, followed from the points whose images were just
+    # placed (back inverts index), closes a cycle whose length `need` lacks
+    # or runs through more points than `top`, its longest allowed cycle.
+    index, back, need, top = walk
+    for p in points:
+        start = x = back[p - 1]
+        length = 0
+        while used[index[x] + 1]:
+            x = images[index[x]] - 1
+            length += 1
+            if x == start:
+                if not need[length]:
+                    return True
+                break
+            if length == top:
+                return True
+    return False
+
+
+def _has_type(images: Sequence[int], index: list[int], need: list[int]) -> bool:
+    # Whether x -> images[index[x]] has need[k] cycles of each length k; it
+    # stops at the first cycle of a length that is already used up.
+    left = need[:]
+    seen = [False] * len(index)
+    for start in range(len(index)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = images[index[j]] - 1
+            length += 1
+        if not left[length]:
+            return False
+        left[length] -= 1
+    return True
 
 
 def conjugacy_class_iter(t, degree: int) -> Iterator[Permutation]:
@@ -305,10 +359,12 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     cut = order.index(enum_positions[-1]) + 1 if enum_positions else 0
     rotated = order[cut:] + order[:cut]
     head, last = rotated[:-1], rotated[-1]
-    target = rows[derived]
+    need = [0] * (d + 1)
+    for part in rows[derived]:
+        need[part] += 1
     identity = tuple(range(1, d + 1))
 
-    assign: list[tuple[int, ...] | None] = [None] * n
+    assign: list = [None] * n
     assign[pinned] = canonical_of_type(datum.rows[pinned], d).images
 
     nodes = 0
@@ -318,14 +374,21 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
         for i in head:
             prefix = _mul(prefix, assign[i])
         index = [x - 1 for x in prefix]
-        choices = _class_images(rows[last], d) if enum_positions else (assign[last],)
-        for images in choices:
-            nodes += 1
+        if enum_positions:
+            back = [x - 1 for x in _inv(prefix)]
+            members = _class_images(rows[last], d, (index, back, need, rows[derived][0]))
+        else:
+            members = (assign[last],)
+        for images in members:
+            # An int stands for that many members ruled out unbuilt.
+            skipped = images.__class__ is int
+            before = nodes
+            nodes += images if skipped else 1
             if budget is not None and nodes > budget:
-                return OracleResult(UNKNOWN, None, nodes)
-            if nodes == _COUNT_PROBE and countable and _transitive_count(d, rows) == 0:
+                return OracleResult(UNKNOWN, None, budget + 1)
+            if before < _COUNT_PROBE <= nodes and countable and _transitive_count(d, rows) == 0:
                 return OracleResult(UNREALIZABLE, None, space)
-            if _cycle_type([images[j] for j in index]) != target:
+            if skipped or not _has_type(images, index, need):
                 continue
             # The cycle type matched: invert the product in its own order.
             assign[last] = images
@@ -358,7 +421,7 @@ def verify_witness(datum: BranchDatum, perms: Sequence[Permutation]) -> bool:
     return _transitive_images([p.images for p in perms], d)
 
 
-_CYCLE_TEXT = re.compile(r"^\s*(\(\s*(\d+\s*)*\)\s*)*$")
+_CYCLE_TEXT = re.compile(r"^\s*(\([\d\s]*\)\s*)*$")
 
 
 def format_cycles(perm: Permutation) -> str:

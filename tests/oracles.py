@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 import itertools
 import math
+import re
 
 from conecover import (
     CASE_A,
@@ -403,3 +404,9 @@ def reference_find_witness(datum, budget=DEFAULT_BUDGET):
     if exhausted:
         return OracleResult(UNREALIZABLE, None, nodes)
     return OracleResult(UNKNOWN, None, nodes)
+
+
+# The cycle-notation pattern `parse_cycles` used to match with: the same
+# strings as today's, but its nested repeat backtracks exponentially on an
+# unclosed run of digits, so only short strings may be given to it.
+REFERENCE_CYCLE_TEXT = re.compile(r"^\s*(\(\s*(\d+\s*)*\)\s*)*$")

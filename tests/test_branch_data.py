@@ -144,6 +144,12 @@ def test_enumerate_two_rows_is_pair_of_full_cycles():
         assert list(enumerate_data(d, 2)) == [BranchDatum(d, ((d,), (d,)))]
 
 
+def test_enumerated_data_share_partitions():
+    # Partitions are frozen, so one stream builds each distinct row once.
+    rows = [row for datum in enumerate_data(8, 3) for row in datum.rows]
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+
 def test_enumerate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         list(enumerate_data(1, 3))

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,11 +29,12 @@ from conecover import (
     search_certificate,
     verify_witness,
 )
-from conecover import counting
+from conecover import counting, monodromy
 from conecover.branch_data import partitions_of
 from conecover.counting import TupleCounts
 
 from oracles import (
+    REFERENCE_CYCLE_TEXT,
     all_partitions,
     count_by_cycle_type,
     reference_find_witness,
@@ -78,6 +80,23 @@ def test_cycle_text_round_trip():
     for bad in ("(1 2", "(1 2)(2 3)", "(0 1)", "(1 5)", "(1; 2)"):
         with pytest.raises(ValueError):
             parse_cycles(bad, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="() 0123456789x", max_size=14))
+@example("(1 2)(3 4)")
+@example(" ( 12  3 )() ")
+@example("(1 2")
+def test_cycle_text_pattern_matches_reference(text):
+    assert bool(monodromy._CYCLE_TEXT.match(text)) == bool(REFERENCE_CYCLE_TEXT.match(text))
+
+
+def test_cycle_text_rejects_long_malformed_input_fast():
+    # The old pattern took 2.3 s on 24 digits and 4 times longer per 2 more.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bad cycle notation"):
+        parse_cycles("(" + "1" * 5000 + "x", 10)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cycle_type():
@@ -249,6 +268,68 @@ def test_oracle_matches_reference(monkeypatch):
         assert _outcome(expected) == (UNKNOWN, space, None)
         assert _outcome(find_witness(datum, budget=space - 1)) == _outcome(expected)
         assert not counted
+
+
+BUDGET_DATA = [datum for points, top in ((3, 8), (4, 7), (5, 6))
+               for degree in range(2, top + 1) for datum in enumerate_data(degree, points)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BUDGET_DATA), st.integers(-8, 7), st.floats(0, 1))
+@example(D9, 2, 0.0)  # one node short of the space: unknown
+@example(D9, 3, 0.0)  # exactly the space: unrealizable
+def test_oracle_budgets_match_reference(datum, pick, share):
+    # Budgets where a skipped run of nodes or the end of a class meets the
+    # budget: one node short of, at and past the stopping node, and around
+    # the count probe; or, for a negative pick, a draw up to twice the space.
+    nodes = find_witness(datum, budget=None).nodes
+    space = math.prod(sorted(class_size(row, datum.degree) for row in datum.rows)[:-2])
+    budgets = (0, 1, nodes - 1, nodes, nodes + 1, 999, 1000, 1001)
+    budget = budgets[pick] if pick >= 0 else int(share * 2 * space)
+    expected = reference_find_witness(datum, budget=budget)
+    assert _outcome(find_witness(datum, budget=budget)) == _outcome(expected)
+
+
+def test_last_slot_walk_prunes(monkeypatch):
+    # Most members of the last class are ruled out before they are built,
+    # and skipped members still count as nodes.
+    leaves = []
+    real = monodromy._has_type
+
+    def spy(*args):
+        leaves.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(monodromy, "_has_type", spy)
+    datum = parse_datum("10: 6,2,2 | 5,2,1,1,1 | 4,2,2,2")
+    result = find_witness(datum)
+    assert result.status == REALIZABLE and result.nodes == 5325
+    assert verify_witness(datum, result.witness.perms)
+    assert 0 < len(leaves) < result.nodes // 2
+
+    # A skip that carries the position past the count probe still counts.
+    counted = []
+    real_count = monodromy._transitive_count
+    monkeypatch.setattr(monodromy, "_transitive_count",
+                        lambda degree, rows: counted.append(degree) or real_count(degree, rows))
+    result = find_witness(parse_datum("10: 6,2,2 | 6,1,1,1,1 | 4,2,2,2"))
+    assert _outcome(result) == (UNREALIZABLE, 18900, None)
+    assert counted == [10]
+
+
+def test_oracle_only_data_are_pinned():
+    # The degree-10 3-point data that only the oracle settles: no
+    # certificate on the default grid, and exhaustion (or, for the last, a
+    # count) proves them unrealizable.
+    for text, space in (("10: 5,5 | 4,3,1,1,1 | 2,2,2,2,2", 945),
+                        ("10: 5,4,1 | 3,3,2,2 | 2,2,2,2,2", 945),
+                        ("10: 5,3,2 | 3,3,2,2 | 2,2,2,2,2", 945),
+                        ("10: 3,3,3,1 | 3,3,3,1 | 3,3,3,1", 22400)):
+        datum = parse_datum(text)
+        expected = reference_find_witness(datum)
+        assert _outcome(expected) == (UNREALIZABLE, space, None)
+        assert _outcome(find_witness(datum)) == _outcome(expected)
+        assert search_certificate(datum) is None
 
 
 @st.composite
