@@ -10,9 +10,11 @@ T > 0.  Frobenius' formula gives N from the characters chi of S_d,
 
 where |C_i| chi(mu_i) / chi(1) is a central character value, an integer,
 so the sum is exact in integers.  The characters come from the
-Murnaghan-Nakayama rule on beta numbers.  Recursion on the orbit of the
-point 1 gives T (Mednykh, Sib. Math. J. 25, 1984; Lando-Zvonkin, Graphs
-on Surfaces and Their Applications, App. A):
+Murnaghan-Nakayama rule on beta numbers.  They depend on S_d alone, so
+each process keeps, on first use, the dimensions and each cycle type's
+central characters as lists over the shapes of S_d.  Recursion on the
+orbit of the point 1 gives T (Mednykh, Sib. Math. J. 25, 1984;
+Lando-Zvonkin, Graphs on Surfaces and Their Applications, App. A):
 
     T(d; mu) = N(d; mu) - sum over k < d and sub-multisets alpha_i of mu_i
                with sum k of C(d-1, k-1) T(k; alpha) N(d-k; mu - alpha).
@@ -42,11 +44,17 @@ def _dimension(shape: tuple[int, ...]) -> int:
     return factorial(sum(shape)) * spread // prod(factorial(b) for b in beta)
 
 
+# degree -> (dimensions, {cycle type: central characters}), over `partitions_of`
+_TABLES: dict[int, tuple[list[int], dict]] = {}
+
+
 class TupleCounts:
-    """N and T of the module docstring, memoised for one computation.
+    """N and T of the module docstring.
 
     Rows are non-increasing tuples of parts; both counts are symmetric in
-    the order of the rows, so they are memoised on the sorted rows.
+    the order of the rows, so they are memoised on the sorted rows, for
+    one computation, as are the Murnaghan-Nakayama values; the central
+    characters they are summed from are kept for the process.
     """
 
     def __init__(self):
@@ -94,15 +102,18 @@ class TupleCounts:
         key = (degree, rows)
         value = self._product_one.get(key)
         if value is None:
-            sizes = [class_size(row, degree) for row in rows]
-            total = 0
-            for shape in partitions_of(degree):
-                dim = _dimension(shape)
-                # |C| chi(C) / chi(1) is a central character value, an integer.
-                term = dim * dim
-                for row, size in zip(rows, sizes):
-                    term *= size * self.character(shape, row) // dim
-                total += term
+            shapes = partitions_of(degree)
+            if degree not in _TABLES:
+                _TABLES[degree] = ([_dimension(shape) for shape in shapes], {})
+            dims, central = _TABLES[degree]
+            for row in rows:
+                if row not in central:
+                    # |C| chi(C) / chi(1) is a central character value, an integer.
+                    size = class_size(row, degree)
+                    central[row] = [size * self.character(shape, row) // dim
+                                    for shape, dim in zip(shapes, dims)]
+            columns = zip(dims, *[central[row] for row in rows])
+            total = sum(dim * dim * prod(values) for dim, *values in columns)
             value = total // factorial(degree)
             self._product_one[key] = value
         return value

@@ -16,10 +16,11 @@ then those before it, and only the cycle type of that product is tested
 (a permutation and its inverse share it).  A cyclic rotation of the
 factors is a conjugate, so the product is taken with the deepest
 enumerated slot last and costs one composition per node.  As the
-deepest slot is placed cycle by cycle, the search follows that conjugate
-through the placed points: a placement that closes a cycle of a length
-the derived row lacks, or a path longer than its longest cycle, rules out
-every tuple below it, and they count as examined without being built.
+deepest slot is placed one point at a time, the search follows that
+conjugate from the one element whose image the new point sets: a point
+that closes a cycle of a length the derived row lacks, or leaves a path
+longer than its longest cycle, rules out every tuple that completes it,
+and they count as examined without being built.
 And a count can stand in for exhaustion: a search whose position reaches
 `_COUNT_PROBE` without a witness asks `counting` for the number of
 transitive tuples, and a count of zero ends it with the answer
@@ -29,7 +30,6 @@ exhaustion would give.  Permutations compose left to right:
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -42,8 +42,9 @@ DEFAULT_BUDGET = 10**8
 
 # 96% of the realizable 3-point data of degree 9-10 and 4-point data of
 # degree 8 show a witness within this many nodes, skipped ones included,
-# so only a search that reaches this position without one counts; at about
-# 2.6 us a node, a count of a few ms costs as much as a thousand nodes.
+# so only a search that reaches this position without one counts.  With
+# S_d's characters kept, a count costs about 0.3 ms, a few hundred nodes
+# (2-core x86-64, Python 3.11); probes of 250 or 500 were no faster.
 _COUNT_PROBE = 1000
 
 REALIZABLE = "realizable"
@@ -175,13 +176,8 @@ def canonical_of_type(t, degree: int) -> Permutation:
 
 def class_size(t, degree: int) -> int:
     """Order of the conjugacy class: d! / (prod parts * prod mult!)."""
-    return _class_order(Counter(_parts_of(t, degree)), degree)
-
-
-def _class_order(counts: Counter, free: int) -> int:
-    # How many ways the cycles in `counts` can be placed on `free` points.
-    size = factorial(free)
-    for length, mult in counts.items():
+    size = factorial(degree)
+    for length, mult in Counter(_parts_of(t, degree)).items():
         size //= length**mult * factorial(mult)
     return size
 
@@ -190,20 +186,45 @@ def _class_images(parts: tuple[int, ...], degree: int, walk=None) -> Iterator:
     # Each permutation of the type once, as one list rewritten in place: the
     # smallest unplaced element leads the next cycle, whose other entries
     # run over ordered selections of the unplaced elements.
-    counts = Counter(parts)
+    counts = [parts.count(length) for length in range(degree + 1)]
     images = list(range(1, degree + 1))
-    return _place_cycles(counts, sorted(counts), images, [False] * (degree + 1), 0, walk)
+    return _place(counts, sorted(set(parts)), images, [False] * (degree + 1), degree,
+                  class_size(parts, degree), walk, 0, 0, 0)
 
 
-def _place_cycles(counts: Counter, lengths: list[int], images: list[int],
-                  used: list[bool], placed: int, walk) -> Iterator:
-    # Yields `images` once for each way to place the cycles left in `counts`
-    # on the points `used` leaves free; once exhausted it leaves all three
-    # as it found them.  With a `walk` (see `_closes_wrong`), a placement
-    # after which the conjugate x -> images[index[x]] cannot have the cycle
-    # type `need` yields, instead of its subtree, the subtree's size.
-    degree = len(images)
-    if counts[1] == degree - placed:
+def _place(counts: list[int], lengths: list[int], images: list[int], used: list[bool],
+           free: int, size: int, walk, lead: int, prev: int, left: int) -> Iterator:
+    # Yields `images` once for each of the `size` ways to complete it: `left`
+    # more points after `prev`, then `lead` again, close the cycle led by
+    # `lead` (none if 0), then the cycles left in `counts` go on the `free`
+    # points `used` leaves.  Once exhausted it leaves all four lists as it
+    # found them.  With a `walk` (see `_closes_wrong`), a point after which
+    # the conjugate x -> images[index[x]] cannot have the cycle type `need`
+    # yields, instead of its completions, how many they are.
+    if left:
+        size //= free
+        for e in range(lead + 1, len(images) + 1):
+            if used[e]:
+                continue
+            images[prev - 1] = e
+            if walk is not None and _closes_wrong(walk, images, used, prev):
+                yield size
+                continue
+            used[e] = True
+            yield from _place(counts, lengths, images, used, free - 1, size, walk,
+                              lead, e, left - 1)
+            used[e] = False
+        images[prev - 1] = prev
+        return
+    if lead:
+        images[prev - 1] = lead
+        if walk is not None and _closes_wrong(walk, images, used, prev):
+            yield size
+        else:
+            yield from _place(counts, lengths, images, used, free, size, walk, 0, 0, 0)
+        images[prev - 1] = prev
+        return
+    if counts[1] == free:
         # Only fixed points are left, and images fixes every unplaced point.
         yield images
         return
@@ -211,47 +232,33 @@ def _place_cycles(counts: Counter, lengths: list[int], images: list[int],
     while used[lead]:
         lead += 1
     used[lead] = True
-    rest = [e for e in range(lead + 1, degree + 1) if not used[e]]
     for length in lengths:
-        if counts[length] == 0:
-            continue
-        counts[length] -= 1
-        below = 0
-        for tail in itertools.permutations(rest, length - 1):
-            cycle = (lead,) + tail
-            for a, b in zip(cycle, tail + (lead,)):
-                images[a - 1] = b
-                used[b] = True
-            if walk is not None and _closes_wrong(walk, images, used, cycle):
-                below = below or _class_order(counts, degree - placed - length)
-                yield below
-            else:
-                yield from _place_cycles(counts, lengths, images, used, placed + length, walk)
-            for e in tail:
-                images[e - 1] = e
-                used[e] = False
-        images[lead - 1] = lead
-        counts[length] += 1
+        mult = counts[length]
+        if mult:
+            counts[length] = mult - 1
+            # The completions with `lead` on a cycle of this length.
+            yield from _place(counts, lengths, images, used, free - 1,
+                              size * length * mult // free, walk, lead, lead, length - 1)
+            counts[length] = mult
     used[lead] = False
 
 
-def _closes_wrong(walk, images: list[int], used: list[bool], points) -> bool:
-    # Whether the conjugate, followed from the points whose images were just
-    # placed (back inverts index), closes a cycle whose length `need` lacks
-    # or runs through more points than `top`, its longest allowed cycle.
+def _closes_wrong(walk, images: list[int], used: list[bool], point: int) -> bool:
+    # Whether the conjugate, followed from the one element whose image
+    # uses the image just set at `point` (back inverts index), closes a
+    # cycle whose length `need` lacks or runs through more points than
+    # `top`, its longest allowed cycle.  When it runs, `used` marks just
+    # the points whose images are set.
     index, back, need, top = walk
-    for p in points:
-        start = x = back[p - 1]
-        length = 0
-        while used[index[x] + 1]:
-            x = images[index[x]] - 1
-            length += 1
-            if x == start:
-                if not need[length]:
-                    return True
-                break
-            if length == top:
-                return True
+    start = x = back[point - 1]
+    length = 0
+    while used[index[x] + 1]:
+        x = images[index[x]] - 1
+        length += 1
+        if x == start:
+            return not need[length]
+        if length == top:
+            return True
     return False
 
 

@@ -36,7 +36,9 @@ from conecover.counting import TupleCounts
 from oracles import (
     REFERENCE_CYCLE_TEXT,
     all_partitions,
+    _type_of,
     count_by_cycle_type,
+    reference_class_images,
     reference_find_witness,
     reference_transitive_count,
 )
@@ -132,6 +134,15 @@ def test_class_iteration_is_exact_and_duplicate_free():
             assert len(members) == class_size(t, d)
             assert len(set(members)) == len(members)
             assert all(cycle_type(p) == Partition(t) for p in members)
+
+
+def test_class_order_matches_reference():
+    # Witness JSON depends on this order, and the outer enumerated slots
+    # walk it unpruned.
+    for d in range(1, 8):
+        for t in all_partitions(d):
+            got = [p.images for p in conjugacy_class_iter(t, d)]
+            assert got == list(reference_class_images(t, d))
 
 
 def test_class_functions_reject_a_type_of_another_degree():
@@ -315,6 +326,49 @@ def test_last_slot_walk_prunes(monkeypatch):
     result = find_witness(parse_datum("10: 6,2,2 | 6,1,1,1,1 | 4,2,2,2"))
     assert _outcome(result) == (UNREALIZABLE, 18900, None)
     assert counted == [10]
+
+
+@st.composite
+def class_walks(draw):
+    # A class of degree <= 8, a prefix permutation and a cycle type `need`
+    # asked of x -> images[prefix[x] - 1] for each member `images`.
+    degree = draw(st.integers(min_value=1, max_value=8))
+    parts = draw(st.sampled_from(all_partitions(degree)))
+    prefix = tuple(draw(st.permutations(range(1, degree + 1))))
+    need = draw(st.sampled_from(all_partitions(degree)))
+    return degree, parts, prefix, need
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_walks())
+@example((8, (4, 2, 2), (8, 7, 6, 5, 4, 3, 2, 1), (3, 3, 2)))
+@example((8, (2, 2, 2, 2), (1, 2, 3, 4, 5, 6, 7, 8), (8,)))
+def test_last_class_walk_matches_reference(case):
+    # The pruned walk over the last class, point by point: every member is
+    # a leaf or inside a skip, each leaf sits at its reference position,
+    # and no member whose conjugate has the type `need` is skipped.
+    degree, parts, prefix, need = case
+    index = [x - 1 for x in prefix]
+    back = [0] * degree
+    for x, y in enumerate(index):
+        back[y] = x
+    counts = [0] * (degree + 1)
+    for part in need:
+        counts[part] += 1
+    position = 0
+    leaves = {}
+    for item in monodromy._class_images(parts, degree, (index, back, counts, need[0])):
+        if isinstance(item, int):
+            position += item
+        else:
+            leaves[tuple(item)] = position
+            position += 1
+    assert position == class_size(parts, degree)
+    reference = list(reference_class_images(parts, degree))
+    assert all(reference[at] == images for images, at in leaves.items())
+    for images in reference:
+        if _type_of(tuple([images[i] - 1 for i in index])) == need:
+            assert images in leaves
 
 
 def test_oracle_only_data_are_pinned():
