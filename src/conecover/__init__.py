@@ -73,11 +73,8 @@ from .monodromy import (
     UNREALIZABLE,
     canonical_of_type,
     class_size,
-    conjugacy_class_iter,
-    cycle_type,
     find_witness,
     format_cycles,
-    is_transitive,
     parse_cycles,
     verify_witness,
 )
@@ -116,8 +113,6 @@ __all__ = [
     "certify_exceptional",
     "class_size",
     "coaxial_check",
-    "conjugacy_class_iter",
-    "cycle_type",
     "decide_admissible",
     "enumerate_data",
     "family_2k",
@@ -130,7 +125,6 @@ __all__ = [
     "format_cycles",
     "format_datum",
     "is_prime",
-    "is_transitive",
     "l1_distance_to_odd_lattice",
     "lift_angles",
     "nonprime_witness",

@@ -161,6 +161,9 @@ class AdmissibilityVerdict:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AdmissibilityVerdict":
+        admissible = obj["admissible"]
+        if not isinstance(admissible, bool):
+            raise ValueError(f"'admissible' must be true or false, got {admissible!r}")
         lattice = None
         if "distance" in obj:
             lattice = OddLatticeResult(
@@ -171,7 +174,7 @@ class AdmissibilityVerdict:
         if "coaxial_witness" in obj:
             coaxial = CoaxialWitness.from_json(obj["coaxial_witness"])
         return cls(
-            admissible=bool(obj["admissible"]),
+            admissible=admissible,
             case=str(obj["case"]),
             lattice=lattice,
             coaxial=coaxial,
@@ -284,7 +287,7 @@ _NO_COAXIAL = "mixed angles at distance 1 with no coaxial sign witness"
 _NON_INTEGRAL = "all angles non-integral at distance 1 and not an equal pair"
 
 
-def screen_scaled(count: int, shift: int, cost: int | None, parity: int, flip: int,
+def screen_scaled(count: int, shift: int, cost: int, parity: int, flip: int,
                   scale: int) -> tuple:
     """The rules up to the odd-lattice distance, in their fixed order.
 
@@ -292,10 +295,9 @@ def screen_scaled(count: int, shift: int, cost: int | None, parity: int, flip: i
     shifted by -scale: their number and sum, and the cost, parity and
     flip of `round_scaled`.  The checks: nothing left, a single angle, a
     non-positive Gauss-Bonnet margin, then the distance against 1.
-    Returns (case, why, distance), distance scaled and None if not yet
-    needed; case is None at distance exactly 1, where `boundary_scaled`
-    decides.  With `cost` None only the checks before the distance run,
-    and case None says that they passed.
+    Returns (case, why, distance), distance scaled and None when a check
+    before it decided; case is None at distance exactly 1, where
+    `boundary_scaled` decides.
     """
     if count == 0:
         return CASE_EMPTY, None, None
@@ -304,8 +306,6 @@ def screen_scaled(count: int, shift: int, cost: int | None, parity: int, flip: i
     margin = 2 * scale + shift
     if margin <= 0:
         return CASE_NONE, (_MARGIN, margin), None
-    if cost is None:
-        return None, None, None
     distance = cost if parity else cost + flip
     if distance < scale:
         return CASE_NONE, (_HOLONOMY, distance), distance
@@ -318,22 +318,18 @@ def decide_scaled(nums: Sequence[int], scale: int) -> tuple:
     """The admissibility rules on the angle vector `nums / scale`.
 
     Returns (case, lattice, coaxial, why): lattice is (distance * scale,
-    nearest) once the odd-lattice distance has been computed, coaxial the
-    case-D witness, and why, for case NONE, a reason template with the
-    scaled value it formats.  Units are stripped, `screen_scaled` runs
-    the checks up to the distance (the vector is rounded only once those
-    before the distance pass), and at distance exactly 1
-    `boundary_scaled` applies the rules B, C and D of the module
-    docstring.
+    nearest), or None when a check before the distance decided; coaxial
+    is the case-D witness, and why, for case NONE, a reason template
+    with the scaled value it formats.  Units are stripped and the rest
+    rounded by `round_scaled`; one `screen_scaled` call runs the checks
+    up to the distance, and at distance exactly 1 `boundary_scaled`
+    applies the rules B, C and D of the module docstring.
     """
     shifted = [v - scale for v in nums if v != scale]
-    count, shift = len(shifted), sum(shifted)
-    case, why, _ = screen_scaled(count, shift, None, 0, 0, scale)
-    if case is not None:
-        return case, None, None, why
     nearest, cost, parity, flip = round_scaled(shifted, scale)
-    case, why, distance = screen_scaled(count, shift, cost, parity, flip, scale)
-    lattice = distance, nearest
+    case, why, distance = screen_scaled(len(shifted), sum(shifted), cost, parity, flip,
+                                        scale)
+    lattice = None if distance is None else (distance, nearest)
     if case is not None:
         return case, lattice, None, why
     case, coaxial, why = boundary_scaled(shifted, scale)

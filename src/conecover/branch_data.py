@@ -17,6 +17,7 @@ and `parse_datum` emit that form.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -94,10 +95,6 @@ class BranchDatum:
         if not rows:
             raise ValueError("a branch datum needs at least one row")
         object.__setattr__(self, "rows", rows)
-
-    @property
-    def branch_points(self) -> int:
-        return len(self.rows)
 
     def canonical(self) -> "BranchDatum":
         """The same datum with rows sorted lexicographically non-increasing."""
@@ -265,34 +262,17 @@ def _defect_combos(defects: list[int], start: int, left: int, remaining: int,
         acc.pop()
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    # Tokens are (kind, value, offset); kinds: "int", ":", ",", "|".
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-        elif c in ":,|":
-            tokens.append((c, c, i))
-            i += 1
-        else:
-            raise DatumParseError(f"unexpected character {c!r}", i)
-    return tokens
+_TOKEN = re.compile(r"\d+|\S")
 
 
 def parse_datum(text: str) -> BranchDatum:
     """Parse `d: p,p | p,p | ...` or the JSON object form.
 
     Whitespace is insignificant in the text form.  The result is fully
-    canonical: parts sorted within rows and rows sorted.  Text errors
+    canonical: parts sorted within rows and rows sorted.  The text is cut
+    into runs of decimal digits and single other characters, each of
+    which must be `:`, `,` or `|`; one pass then reads the degree, `:`,
+    and parts alternating with separators up to the end.  Text errors
     carry the character offset of the offending token.
     """
     if text.lstrip().startswith("{"):
@@ -302,55 +282,38 @@ def parse_datum(text: str) -> BranchDatum:
             raise DatumParseError(f"bad JSON: {exc.msg}", exc.pos) from None
         return BranchDatum.from_json(obj).canonical()
 
-    tokens = _tokenize(text)
+    tokens = [(match[0], match.start()) for match in _TOKEN.finditer(text)]
+    for token, offset in tokens:
+        if not token.isdecimal() and token not in ":,|":
+            raise DatumParseError(f"unexpected character {token!r}", offset)
     if not tokens:
         raise DatumParseError("empty input", 0)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def expect_int(what: str) -> tuple[int, int]:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise DatumParseError(f"expected {what} at end of input", len(text))
-        kind, value, offset = tok
-        if kind != "int":
-            raise DatumParseError(f"expected {what}, got {value!r}", offset)
-        pos += 1
-        return int(value), offset
-
-    degree, offset = expect_int("a degree")
-    if degree < 1:
-        raise DatumParseError("degree must be positive", offset)
-    tok = peek()
-    if tok is None or tok[0] != ":":
-        raise DatumParseError("expected ':' after the degree",
-                              tok[2] if tok else len(text))
-    pos += 1
+    # The empty token at offset len(text) marks the end of the input.
+    tokens.append(("", len(text)))
 
     rows: list[Partition] = []
     parts: list[int] = []
-    while True:
-        value, offset = expect_int("a part")
-        if value < 1:
-            raise DatumParseError("parts must be positive", offset)
-        parts.append(value)
-        tok = peek()
-        if tok is None:
-            rows.append(Partition(tuple(parts)))
-            break
-        kind, value, offset = tok
-        if kind == ",":
-            pos += 1
-        elif kind == "|":
-            pos += 1
+    for k, (token, offset) in enumerate(tokens):
+        if k == 1:
+            if token != ":":
+                raise DatumParseError("expected ':' after the degree", offset)
+            degree = parts.pop()
+        elif k % 2 == 0:
+            what = "a part" if k else "a degree"
+            if not token:
+                raise DatumParseError(f"expected {what} at end of input", offset)
+            if not token.isdecimal():
+                raise DatumParseError(f"expected {what}, got {token!r}", offset)
+            value = int(token)
+            if value < 1:
+                raise DatumParseError(f"{'parts' if k else 'degree'} must be positive",
+                                      offset)
+            parts.append(value)
+        elif token in ("|", ""):
             rows.append(Partition(tuple(parts)))
             parts = []
-        else:
-            raise DatumParseError(f"expected ',' or '|', got {value!r}", offset)
-
+        elif token != ",":
+            raise DatumParseError(f"expected ',' or '|', got {token!r}", offset)
     return BranchDatum(degree, tuple(rows)).canonical()
 
 

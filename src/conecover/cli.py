@@ -238,7 +238,10 @@ def cmd_verify_witness(args) -> int:
     # The degrees are compared before any cycle is parsed, since parsing
     # allocates a permutation of the witness's claimed degree.
     claim = obj["witness"]
-    valid = (int(claim["degree"]) == datum.degree
+    degree = claim["degree"]
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise ValueError(f"witness 'degree' must be an integer, got {degree!r}")
+    valid = (degree == datum.degree
              and verify_witness(datum, MonodromyWitness.from_json(claim).perms))
     _emit({"valid": valid})
     return 0 if valid else 1

@@ -35,9 +35,6 @@ class FamilyInstance:
     datum: BranchDatum
     recommended_beta: tuple[Fraction, ...]
 
-    def param(self, name: str) -> int:
-        return dict(self.params)[name]
-
     def certificate(self) -> ExceptionalityCertificate:
         return certify_exceptional(self.datum, self.recommended_beta)
 

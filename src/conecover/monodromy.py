@@ -69,16 +69,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """self then other."""
-        return Permutation(_mul(self.images, other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_inv(self.images))
-
     def __str__(self) -> str:
         return format_cycles(self)
 
@@ -154,11 +144,6 @@ def _parts_of(t, degree: int) -> tuple[int, ...]:
     if sum(parts) != degree:
         raise ValueError(f"type {parts} does not partition {degree}")
     return parts
-
-
-def cycle_type(perm: Permutation) -> Partition:
-    """Cycle lengths of the permutation as a partition of its degree."""
-    return Partition(_cycle_type(perm.images))
 
 
 def canonical_of_type(t, degree: int) -> Permutation:
@@ -280,23 +265,6 @@ def _has_type(images: Sequence[int], index: list[int], need: list[int]) -> bool:
             return False
         left[length] -= 1
     return True
-
-
-def conjugacy_class_iter(t, degree: int) -> Iterator[Permutation]:
-    """Every permutation of cycle type t, each exactly once, fixed order.
-
-    The type is checked on the call, before any member is drawn.
-    """
-    parts = _parts_of(t, degree)
-    return (Permutation(images) for images in _class_images(parts, degree))
-
-
-def is_transitive(perms: Sequence[Permutation], degree: int) -> bool:
-    """Whether the group generated moves 1 onto every point."""
-    if degree <= 1:
-        return True
-    images = [p.images if isinstance(p, Permutation) else tuple(p) for p in perms]
-    return _transitive_images(images, degree)
 
 
 def _transitive_images(images: Sequence[tuple[int, ...]], degree: int) -> bool:

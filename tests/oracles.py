@@ -23,7 +23,6 @@ from conecover import (
     ExceptionalityCertificate,
     Permutation,
     coaxial_check,
-    cycle_type,
     decide_admissible,
     validate_datum,
 )
@@ -37,10 +36,6 @@ from conecover.monodromy import (
     UNREALIZABLE,
     MonodromyWitness,
     OracleResult,
-    _cycle_type,
-    _inv,
-    _mul,
-    _transitive_images,
     canonical_of_type,
     class_size,
 )
@@ -158,10 +153,28 @@ def all_valid_data(degree, branch_points):
 def count_by_cycle_type(degree):
     """Tally all of S_degree by cycle type, one permutation at a time."""
     counts = {}
-    for images in itertools.permutations(range(1, degree + 1)):
-        t = tuple(cycle_type(Permutation(images)))
+    for perm in itertools.permutations(range(degree)):
+        t = _type_of(perm)
         counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+# The datum text grammar as one pattern: a degree, a colon, then numbers
+# separated by `,` within a row and `|` between rows, spaces anywhere.
+_DATUM_TEXT = re.compile(r"\s*(\d+)\s*:\s*(\d+(?:\s*[,|]\s*\d+)*)\s*")
+
+
+def reference_parse_text(text):
+    """(degree, rows) read from `d: p,p | p,p | ...`, or None off the grammar.
+
+    No tokenizer: the whole text must match one pattern, then the rows are
+    split on `|` and the parts on `,`.  Zeros are returned as read.
+    """
+    match = _DATUM_TEXT.fullmatch(text)
+    if match is None:
+        return None
+    rows = [tuple(int(part) for part in row.split(",")) for row in match[2].split("|")]
+    return int(match[1]), rows
 
 
 def reference_lift_decision(nums, rows, scale):
@@ -226,6 +239,37 @@ def reference_coaxial(beta):
         if 2 * max(ints) <= sum(b):
             return CoaxialWitness(signs, int(k_prime), int(k_double), eta, b)
     return None
+
+
+def compose(p, q):
+    """p then q, as 1-based image tuples: x -> q(p(x))."""
+    return tuple(q[x - 1] for x in p)
+
+
+def inverse(p):
+    """The inverse of a 1-based image tuple."""
+    out = [0] * len(p)
+    for x, y in enumerate(p, 1):
+        out[y - 1] = x
+    return tuple(out)
+
+
+def cycle_lengths(images):
+    """The cycle type, non-increasing, of a 1-based image tuple."""
+    return _type_of([x - 1 for x in images])
+
+
+def transitive(perms, degree):
+    """Whether 1-based image tuples carry the point 1 onto every point."""
+    orbit = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            if p[x - 1] not in orbit:
+                orbit.add(p[x - 1])
+                frontier.append(p[x - 1])
+    return len(orbit) == degree
 
 
 def _type_of(perm):
@@ -362,15 +406,15 @@ def reference_find_witness(datum, budget=DEFAULT_BUDGET):
         # All enumerated slots are filled; solve for the derived slot.
         left = tuple(range(1, d + 1))
         for i in range(derived):
-            left = _mul(left, assign[i])
+            left = compose(left, assign[i])
         right = tuple(range(1, d + 1))
         for i in range(derived + 1, n):
-            right = _mul(right, assign[i])
-        candidate = _mul(_inv(left), _inv(right))
-        if _cycle_type(candidate) != rows[derived]:
+            right = compose(right, assign[i])
+        candidate = compose(inverse(left), inverse(right))
+        if cycle_lengths(candidate) != rows[derived]:
             return False
         assign[derived] = candidate
-        if not _transitive_images([a for a in assign], d):
+        if not transitive(assign, d):
             assign[derived] = None
             return False
         return True

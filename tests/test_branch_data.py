@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conecover import (
     BranchDatum,
@@ -17,7 +17,7 @@ from conecover import (
     validate_datum,
 )
 
-from oracles import all_partitions, all_valid_data
+from oracles import all_partitions, all_valid_data, reference_parse_text
 
 
 def test_partition_sorts_and_measures():
@@ -51,7 +51,7 @@ def test_total_defect():
 def test_datum_construction_and_accessors():
     d = BranchDatum(4, ((3, 1), (2, 2), (2, 2)))
     assert d.degree == 4
-    assert d.branch_points == 3
+    assert len(d.rows) == 3
     assert d.rows[0] == Partition((3, 1))
     with pytest.raises(ValueError):
         BranchDatum(0, ((1,),))
@@ -185,6 +185,43 @@ def test_parse_errors_carry_offsets():
     for bad in ("4", "4:", "4: 2,", "4 2,2", "0: 2", "4: 2,0,2", "-4: 2,2"):
         with pytest.raises(DatumParseError):
             parse_datum(bad)
+
+    # A digit that is not decimal, which int() would refuse.
+    with pytest.raises(DatumParseError, match="unexpected character '²'") as err:
+        parse_datum("4: 2²,2 | 2,2 | 3,1")
+    assert err.value.position == 4
+
+
+_NUMBERS = st.sampled_from(["0", "1", "2", "3", "4", "10", "007", "٣", "2²"])
+
+
+@st.composite
+def datum_texts(draw):
+    # Either any text over these characters, or the grammar's tokens, spaced
+    # at random, with now and then one more character spliced in.
+    alphabet = "0123456789:,| x-{٣²"
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=alphabet, max_size=20))
+    tokens = [draw(_NUMBERS), ":", draw(_NUMBERS)]
+    for _ in range(draw(st.integers(0, 6))):
+        tokens += [draw(st.sampled_from(",|")), draw(_NUMBERS)]
+    text = "".join(token + draw(st.sampled_from(["", " ", "  "])) for token in tokens)
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(["", "", ""] + list(alphabet))) + text[at:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(datum_texts())
+@example("4: 2²,2 | 2,2 | 3,1")
+@example("٣ : ٣|٣")
+def test_parse_matches_reference_grammar(text):
+    reference = reference_parse_text(text)
+    if reference is not None and min(reference[0], *map(min, reference[1])) >= 1:
+        assert parse_datum(text) == BranchDatum(*reference).canonical()
+        return
+    with pytest.raises(DatumParseError) as err:
+        parse_datum(text)
+    assert 0 <= err.value.position <= len(text)
 
 
 def test_format_parse_round_trip():

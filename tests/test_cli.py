@@ -359,6 +359,29 @@ def test_verify_witness_rejects_another_degree_unparsed(capsys, tmp_path, monkey
     assert parsed == []
 
 
+def test_verify_certificate_rejects_a_non_boolean_verdict(capsys, tmp_path):
+    # "false" is a string, which bool() would read as true.
+    _, out, _ = invoke(capsys, "certify", D4)
+    blob = json.loads(out)
+    blob["base_verdict"]["admissible"] = "false"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "verify-certificate", str(path))
+    assert code == 2 and out == "" and "admissible" in err
+
+
+def test_verify_witness_rejects_a_non_integer_degree(capsys, tmp_path):
+    # int() would turn either claim into the datum's degree 4.
+    _, out, _ = invoke(capsys, "realize", KLEIN)
+    path = tmp_path / "witness.json"
+    for degree in (4.7, "4"):
+        blob = json.loads(out)
+        blob["witness"]["degree"] = degree
+        path.write_text(json.dumps(blob))
+        code, printed, err = invoke(capsys, "verify-witness", str(path))
+        assert code == 2 and printed == "" and "degree" in err
+
+
 def test_verify_handles_bad_files(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -30,7 +30,7 @@ def test_constructors_frozen_datums():
     inst = family_2k(2, 3, 1)
     assert str(inst.datum) == "4: 3,1 | 2,2 | 2,2"
     assert inst.recommended_beta == (F(1, 2), F(1, 2), F(1, 2))
-    assert inst.param("k") == 2 and inst.param("k1") == 3
+    assert inst.params == (("k", 2), ("k1", 3), ("k2", 1))
 
     inst = family_2k_twos(3, 1, 2)
     assert str(inst.datum) == "6: 2,2,2 | 4,2 | 2,2,2"
