@@ -10,6 +10,8 @@ The package answers three linked questions with exact arithmetic:
   `search_certificate`);
 * is the datum realizable at all, settled exhaustively at small degree by
   a permutation monodromy search (`find_witness`).
+
+`classify` runs both engines on a datum and joins them into one verdict.
 """
 
 from .angles import (
@@ -56,9 +58,15 @@ from .families import (
     nonprime_witness,
 )
 from .lift import (
+    VERDICT_CERTIFIED,
+    VERDICT_ORACLE,
+    VERDICT_REALIZABLE,
+    VERDICT_UNKNOWN,
     CertificationRefused,
+    Classification,
     ExceptionalityCertificate,
     certify_exceptional,
+    classify,
     lift_angles,
     search_certificate,
     verify_certificate,
@@ -82,60 +90,19 @@ from .monodromy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityVerdict",
-    "AngleParseError",
-    "BranchDatum",
-    "CASE_A",
-    "CASE_B",
-    "CASE_C",
-    "CASE_D",
-    "CASE_EMPTY",
-    "CASE_NONE",
-    "CertificationRefused",
-    "CoaxialWitness",
-    "DEFAULT_BUDGET",
-    "DatumParseError",
-    "ExceptionalityCertificate",
-    "FAMILY_IDS",
-    "FamilyInstance",
-    "MonodromyWitness",
-    "OddLatticeResult",
-    "OracleResult",
-    "Partition",
-    "Permutation",
-    "REALIZABLE",
-    "UNKNOWN",
-    "UNREALIZABLE",
-    "ValidationReport",
-    "Violation",
-    "all_instances",
-    "canonical_of_type",
-    "certify_exceptional",
-    "class_size",
-    "coaxial_check",
-    "decide_admissible",
-    "enumerate_data",
-    "family_2k",
-    "family_2k_twos",
-    "family_3k",
-    "family_rk",
-    "family_rk_split",
-    "find_witness",
-    "format_angles",
-    "format_cycles",
-    "format_datum",
-    "is_prime",
-    "l1_distance_to_odd_lattice",
-    "lift_angles",
-    "nonprime_witness",
-    "parse_angles",
-    "parse_cycles",
-    "parse_datum",
-    "partitions_of",
-    "search_certificate",
-    "total_defect",
-    "troyanov_admissible",
-    "validate_datum",
-    "verify_certificate",
+    "AdmissibilityVerdict", "AngleParseError", "BranchDatum", "CASE_A", "CASE_B",
+    "CASE_C", "CASE_D", "CASE_EMPTY", "CASE_NONE", "CertificationRefused",
+    "Classification", "CoaxialWitness", "DEFAULT_BUDGET", "DatumParseError",
+    "ExceptionalityCertificate", "FAMILY_IDS", "FamilyInstance", "MonodromyWitness",
+    "OddLatticeResult", "OracleResult", "Partition", "Permutation", "REALIZABLE",
+    "UNKNOWN", "UNREALIZABLE", "VERDICT_CERTIFIED", "VERDICT_ORACLE",
+    "VERDICT_REALIZABLE", "VERDICT_UNKNOWN", "ValidationReport", "Violation",
+    "all_instances", "canonical_of_type", "certify_exceptional", "class_size",
+    "classify", "coaxial_check", "decide_admissible", "enumerate_data", "family_2k",
+    "family_2k_twos", "family_3k", "family_rk", "family_rk_split", "find_witness",
+    "format_angles", "format_cycles", "format_datum", "is_prime",
+    "l1_distance_to_odd_lattice", "lift_angles", "nonprime_witness", "parse_angles",
+    "parse_cycles", "parse_datum", "partitions_of", "search_certificate",
+    "total_defect", "troyanov_admissible", "validate_datum", "verify_certificate",
     "verify_witness",
 ]

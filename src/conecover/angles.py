@@ -53,6 +53,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .branch_data import require_int
+
 CASE_EMPTY = "EMPTY"
 CASE_A = "A"
 CASE_B = "B"
@@ -126,11 +128,11 @@ class CoaxialWitness:
     @classmethod
     def from_json(cls, obj: dict) -> "CoaxialWitness":
         return cls(
-            signs=tuple(int(s) for s in obj["signs"]),
-            k_prime=int(obj["k_prime"]),
-            k_double_prime=int(obj["k_double_prime"]),
+            signs=tuple(require_int(s, "each sign") for s in obj["signs"]),
+            k_prime=require_int(obj["k_prime"], "'k_prime'"),
+            k_double_prime=require_int(obj["k_double_prime"], "'k_double_prime'"),
             eta=parse_fraction(obj["eta"]),
-            b=tuple(int(x) for x in obj["b"]),
+            b=tuple(require_int(x, "each entry of 'b'") for x in obj["b"]),
         )
 
 
@@ -168,14 +170,18 @@ class AdmissibilityVerdict:
         if "distance" in obj:
             lattice = OddLatticeResult(
                 distance=parse_fraction(obj["distance"]),
-                nearest=tuple(int(z) for z in obj["nearest"]),
+                nearest=tuple(require_int(z, "each entry of 'nearest'")
+                              for z in obj["nearest"]),
             )
+        case = obj["case"]
+        if not isinstance(case, str):
+            raise TypeError(f"'case' must be a string, got {case!r}")
         coaxial = None
         if "coaxial_witness" in obj:
             coaxial = CoaxialWitness.from_json(obj["coaxial_witness"])
         return cls(
             admissible=admissible,
-            case=str(obj["case"]),
+            case=case,
             lattice=lattice,
             coaxial=coaxial,
             reason=obj.get("reason"),

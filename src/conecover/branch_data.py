@@ -37,6 +37,16 @@ class DatumParseError(ValueError):
         super().__init__(message)
 
 
+def require_int(value, what: str) -> int:
+    """Return `value` if it is an int and not a bool, else raise TypeError.
+
+    JSON integers are read this way: true, 4.7 and "4" are refused, not coerced.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of a positive integer, parts sorted non-increasingly."""
@@ -48,9 +58,7 @@ class Partition:
         if not parts:
             raise ValueError("a partition needs at least one part")
         for p in parts:
-            if not isinstance(p, int):
-                raise TypeError(f"parts must be integers, got {p!r}")
-            if p < 1:
+            if require_int(p, "each part") < 1:
                 raise ValueError(f"parts must be positive, got {p}")
         object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
 
@@ -86,7 +94,7 @@ class BranchDatum:
     rows: tuple[Partition, ...]
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 1:
+        if require_int(self.degree, "degree") < 1:
             raise ValueError(f"degree must be a positive integer, got {self.degree!r}")
         rows = tuple(
             row if isinstance(row, Partition) else Partition(tuple(row))
@@ -112,25 +120,14 @@ class BranchDatum:
         """
         if not isinstance(obj, dict):
             raise DatumParseError("datum JSON must be an object")
-        degree = obj.get("degree")
         rows = obj.get("rows")
-        if not isinstance(degree, int) or isinstance(degree, bool):
-            raise DatumParseError("datum JSON needs an integer 'degree'")
         if not isinstance(rows, list) or not rows:
             raise DatumParseError("datum JSON needs a non-empty 'rows' list")
-        built = []
-        for row in rows:
-            if not isinstance(row, list) or not row:
-                raise DatumParseError("each row must be a non-empty list of integers")
-            for p in row:
-                if not isinstance(p, int) or isinstance(p, bool):
-                    raise DatumParseError(f"parts must be integers, got {p!r}")
-                if p < 1:
-                    raise DatumParseError(f"parts must be positive, got {p}")
-            built.append(Partition(tuple(row)))
+        if not all(isinstance(row, list) for row in rows):
+            raise DatumParseError("each row must be a list of integers")
         try:
-            return cls(degree, tuple(built))
-        except ValueError as exc:
+            return cls(obj.get("degree"), rows)
+        except (TypeError, ValueError) as exc:
             raise DatumParseError(str(exc)) from None
 
     def __str__(self) -> str:
@@ -304,7 +301,12 @@ def parse_datum(text: str) -> BranchDatum:
                 raise DatumParseError(f"expected {what} at end of input", offset)
             if not token.isdecimal():
                 raise DatumParseError(f"expected {what}, got {token!r}", offset)
-            value = int(token)
+            try:
+                value = int(token)
+            except ValueError:
+                # Python refuses to convert more than sys.get_int_max_str_digits().
+                raise DatumParseError(f"{what} of {len(token)} digits is too long",
+                                      offset) from None
             if value < 1:
                 raise DatumParseError(f"{'parts' if k else 'degree'} must be positive",
                                       offset)

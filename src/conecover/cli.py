@@ -11,22 +11,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from collections import Counter
 
 from .angles import decide_admissible, parse_angles
 from .branch_data import (
     BranchDatum,
     enumerate_data,
-    format_datum,
     parse_datum,
+    require_int,
     validate_datum,
 )
 from .families import FAMILIES, FAMILY_IDS, all_instances
 from .lift import (
+    VERDICT_CERTIFIED,
+    VERDICT_ORACLE,
+    VERDICT_REALIZABLE,
+    VERDICT_UNKNOWN,
     CertificationRefused,
     ExceptionalityCertificate,
     certify_exceptional,
+    classify,
     require_grid_bounds,
     search_certificate,
     verify_certificate,
@@ -34,17 +38,11 @@ from .lift import (
 from .monodromy import (
     DEFAULT_BUDGET,
     REALIZABLE,
-    UNKNOWN,
     UNREALIZABLE,
     MonodromyWitness,
     find_witness,
     verify_witness,
 )
-
-VERDICT_REALIZABLE = "REALIZABLE"
-VERDICT_CERTIFIED = "EXCEPTIONAL_CERTIFIED"
-VERDICT_ORACLE = "EXCEPTIONAL_ORACLE"
-VERDICT_UNKNOWN = "UNKNOWN"
 
 
 def _emit(obj) -> None:
@@ -137,37 +135,9 @@ def cmd_catalog(args) -> int:
     for degree in range(2, args.max_degree + 1):
         counts: Counter = Counter()
         for datum in enumerate_data(degree, args.branch_points):
-            t0 = time.perf_counter()
-            cert = search_certificate(
-                datum,
-                max_numerator=args.max_numerator,
-                max_denominator=args.max_denominator,
-            )
-            t1 = time.perf_counter()
-            oracle = find_witness(datum, budget=budget)
-            t2 = time.perf_counter()
-            if cert is not None and oracle.status == REALIZABLE:
-                raise RuntimeError(
-                    f"soundness violation: {format_datum(datum)} is certified "
-                    "exceptional yet realizable"
-                )
-            if oracle.status == REALIZABLE:
-                verdict = VERDICT_REALIZABLE
-            elif cert is not None:
-                verdict = VERDICT_CERTIFIED
-            elif oracle.status == UNREALIZABLE:
-                verdict = VERDICT_ORACLE
-            else:
-                verdict = VERDICT_UNKNOWN
-            counts[verdict] += 1
-            row: dict = {"datum": datum.to_json(), "verdict": verdict}
-            if oracle.witness is not None:
-                row["witness"] = oracle.witness.to_json()
-            if cert is not None:
-                row["certificate"] = cert.to_json()
-            row["timings"] = {"certify_s": round(t1 - t0, 6),
-                              "oracle_s": round(t2 - t1, 6)}
-            _emit(row)
+            row = classify(datum, args.max_numerator, args.max_denominator, budget)
+            counts[row.verdict] += 1
+            _emit(row.to_json())
         summary[degree] = counts
     if args.table:
         print(_summary_table(summary))
@@ -238,10 +208,7 @@ def cmd_verify_witness(args) -> int:
     # The degrees are compared before any cycle is parsed, since parsing
     # allocates a permutation of the witness's claimed degree.
     claim = obj["witness"]
-    degree = claim["degree"]
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise ValueError(f"witness 'degree' must be an integer, got {degree!r}")
-    valid = (degree == datum.degree
+    valid = (require_int(claim["degree"], "witness 'degree'") == datum.degree
              and verify_witness(datum, MonodromyWitness.from_json(claim).perms))
     _emit({"valid": valid})
     return 0 if valid else 1

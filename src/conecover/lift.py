@@ -17,12 +17,14 @@ screen filters the grid.  Per row and grid value it tabulates the
 rounding cost exceeds 1 is case A from that sum alone, so the walk sums
 each run's prefix once and skips it; the summed terms settle most of the
 rest, and only lifts at distance exactly 1 reach `angles.boundary_scaled`.
+`classify` joins the search to the monodromy oracle into one verdict.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +43,13 @@ from .angles import (
     scaled_numerators,
     screen_scaled,
 )
-from .branch_data import BranchDatum, require_valid
+from .branch_data import BranchDatum, format_datum, require_valid
+from .monodromy import DEFAULT_BUDGET, REALIZABLE, UNREALIZABLE, OracleResult, find_witness
+
+VERDICT_REALIZABLE = "REALIZABLE"
+VERDICT_CERTIFIED = "EXCEPTIONAL_CERTIFIED"
+VERDICT_ORACLE = "EXCEPTIONAL_ORACLE"
+VERDICT_UNKNOWN = "UNKNOWN"
 
 
 class CertificationRefused(Exception):
@@ -303,3 +311,52 @@ def search_certificate(
             except CertificationRefused:
                 pass
     return None
+
+
+@dataclass(frozen=True)
+class Classification:
+    """The verdict of `classify` on a datum, with both engines' evidence."""
+
+    datum: BranchDatum
+    verdict: str
+    certificate: ExceptionalityCertificate | None
+    oracle: OracleResult
+    certify_s: float
+    oracle_s: float
+
+    def to_json(self) -> dict:
+        out: dict = {"datum": self.datum.to_json(), "verdict": self.verdict}
+        if self.oracle.witness is not None:
+            out["witness"] = self.oracle.witness.to_json()
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.to_json()
+        out["timings"] = {"certify_s": round(self.certify_s, 6),
+                          "oracle_s": round(self.oracle_s, 6)}
+        return out
+
+
+def classify(datum: BranchDatum, max_numerator: int = 6, max_denominator: int = 6,
+             budget: int | None = DEFAULT_BUDGET) -> Classification:
+    """Run `search_certificate`, then `find_witness`, and join their answers.
+
+    The verdict is the first that holds of REALIZABLE (a witness),
+    EXCEPTIONAL_CERTIFIED (a certificate), EXCEPTIONAL_ORACLE (the oracle
+    proves the datum unrealizable) and UNKNOWN (its budget ran out).  A
+    certificate next to a witness means an engine is wrong: RuntimeError.
+    """
+    t0 = time.perf_counter()
+    cert = search_certificate(datum, max_numerator=max_numerator,
+                              max_denominator=max_denominator)
+    t1 = time.perf_counter()
+    oracle = find_witness(datum, budget=budget)
+    t2 = time.perf_counter()
+    if cert is not None and oracle.status == REALIZABLE:
+        raise RuntimeError(
+            f"soundness violation: {format_datum(datum)} is certified "
+            "exceptional yet realizable"
+        )
+    verdict = (VERDICT_REALIZABLE if oracle.status == REALIZABLE
+               else VERDICT_CERTIFIED if cert is not None
+               else VERDICT_ORACLE if oracle.status == UNREALIZABLE
+               else VERDICT_UNKNOWN)
+    return Classification(datum, verdict, cert, oracle, t1 - t0, t2 - t1)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterator, Sequence
 
-from .branch_data import BranchDatum, Partition, require_valid
+from .branch_data import BranchDatum, Partition, require_int, require_valid
 
 DEFAULT_BUDGET = 10**8
 
@@ -85,7 +85,7 @@ class MonodromyWitness:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MonodromyWitness":
-        degree = int(obj["degree"])
+        degree = require_int(obj["degree"], "witness 'degree'")
         perms = tuple(parse_cycles(s, degree) for s in obj["perms"])
         return cls(degree, perms)
 
@@ -120,23 +120,6 @@ def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
     for i, x in enumerate(p):
         out[x - 1] = i + 1
     return tuple(out)
-
-
-def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
-    seen = [False] * len(images)
-    parts = []
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j] - 1
-            length += 1
-        parts.append(length)
-    parts.sort(reverse=True)
-    return tuple(parts)
 
 
 def _parts_of(t, degree: int) -> tuple[int, ...]:
@@ -385,8 +368,13 @@ def verify_witness(datum: BranchDatum, perms: Sequence[Permutation]) -> bool:
         return False
     if any(p.degree != d for p in perms):
         return False
+    index = list(range(d))
     for p, row in zip(perms, datum.rows):
-        if _cycle_type(p.images) != row.parts:
+        need = [0] * (d + 1)
+        for part in row.parts:
+            need[part] += 1
+        # p's cycles fit into the parts, so they are the parts when these sum to d.
+        if row.size != d or not _has_type(p.images, index, need):
             return False
     product = tuple(range(1, d + 1))
     for p in perms:

@@ -10,15 +10,21 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 from conecover import (
+    VERDICT_CERTIFIED,
+    VERDICT_ORACLE,
+    VERDICT_REALIZABLE,
+    VERDICT_UNKNOWN,
     BranchDatum,
     MonodromyWitness,
     Permutation,
     all_instances,
     certify_exceptional,
     class_size,
+    classify,
     decide_admissible,
     enumerate_data,
     family_2k,
@@ -89,26 +95,22 @@ def test_criterion_2_degree_nine_lift_values():
 
 
 def test_criterion_3_search_and_oracle_never_disagree():
-    certified = {}
-    realizable = {}
-    undecided = {}
+    # classify raises if a certificate ever meets a witness
+    counts = {}
     for degree in range(2, 8):
-        certified[degree] = realizable[degree] = undecided[degree] = 0
+        counts[degree] = Counter()
         for datum in enumerate_data(degree, 3):
-            cert = search_certificate(datum)
-            result = find_witness(datum, budget=None)
-            assert result.status in ("realizable", "unrealizable")
-            if cert is not None:
-                assert verify_certificate(cert)
-                # a certificate must never coexist with a witness
-                assert result.status == "unrealizable", format_datum(datum)
-                certified[degree] += 1
-            elif result.status == "realizable":
-                assert verify_witness(datum, result.witness.perms)
-                realizable[degree] += 1
-            else:
-                undecided[degree] += 1
-    for degree in sorted(certified):
+            row = classify(datum, budget=None)
+            assert row.verdict != VERDICT_UNKNOWN, format_datum(datum)
+            counts[degree][row.verdict] += 1
+            if row.certificate is not None:
+                assert verify_certificate(row.certificate)
+            if row.oracle.witness is not None:
+                assert verify_witness(datum, row.oracle.witness.perms)
+    certified = {d: c[VERDICT_CERTIFIED] for d, c in counts.items()}
+    realizable = {d: c[VERDICT_REALIZABLE] for d, c in counts.items()}
+    undecided = {d: c[VERDICT_ORACLE] for d, c in counts.items()}
+    for degree in sorted(counts):
         tag = "prime" if is_prime(degree) else "composite"
         record_observation(
             f"[acceptance] degree {degree} ({tag}): "
@@ -117,6 +119,7 @@ def test_criterion_3_search_and_oracle_never_disagree():
     # observed, not asserted: no certificate ever appears at prime degree
     assert certified == {2: 0, 3: 0, 4: 1, 5: 0, 6: 5, 7: 0}
     assert realizable == {2: 0, 3: 1, 4: 5, 5: 11, 6: 34, 7: 85}
+    assert undecided == {2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0}
 
 
 def test_criterion_4_realizable_controls():

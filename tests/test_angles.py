@@ -348,6 +348,19 @@ def test_decide_is_permutation_invariant(data):
         assert a.lattice.distance == b.lattice.distance
 
 
+def test_verdict_json_refuses_what_int_would_coerce():
+    blob = decide_admissible((F(1, 2), F(1, 2), 2)).to_json()
+    witness = blob["coaxial_witness"]
+    bad = [{"nearest": [1, -1.0, -1]}, {"nearest": [True, -1, -1]}, {"case": 1},
+           {"coaxial_witness": {**witness, "k_prime": "1"}},
+           {"coaxial_witness": {**witness, "k_double_prime": 0.0}},
+           {"coaxial_witness": {**witness, "signs": [1, True]}},
+           {"coaxial_witness": {**witness, "b": [1, 1, "2"]}}]
+    for change in bad:
+        with pytest.raises(TypeError):
+            AdmissibilityVerdict.from_json({**blob, **change})
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6),
                 min_size=1, max_size=5))

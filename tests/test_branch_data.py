@@ -41,6 +41,8 @@ def test_partition_rejects_bad_parts():
         Partition((1.5,))
     with pytest.raises(TypeError):
         Partition(("2",))
+    with pytest.raises(TypeError):
+        Partition((True, 1))
 
 
 def test_total_defect():
@@ -57,6 +59,9 @@ def test_datum_construction_and_accessors():
         BranchDatum(0, ((1,),))
     with pytest.raises(ValueError):
         BranchDatum(3, ())
+    for degree in (True, 4.0):
+        with pytest.raises(TypeError):
+            BranchDatum(degree, ((1,),))
 
 
 def test_canonical_sorts_rows():
@@ -86,6 +91,11 @@ def test_from_json_rejects_malformed():
         {"degree": 2, "rows": [[]]},
         {"degree": 2, "rows": [[2.0]]},
         {"degree": 2, "rows": [[0]]},
+        {"degree": 2, "rows": [2]},
+        {"degree": True, "rows": [[1]]},
+        {"degree": 2.0, "rows": [[2]]},
+        {"degree": "2", "rows": [[2]]},
+        {"degree": 2, "rows": [[True, True]]},
     ):
         with pytest.raises(DatumParseError):
             BranchDatum.from_json(blob)
@@ -190,6 +200,15 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(DatumParseError, match="unexpected character '²'") as err:
         parse_datum("4: 2²,2 | 2,2 | 3,1")
     assert err.value.position == 4
+
+
+def test_parse_refuses_overlong_numbers():
+    # int() refuses more than 4,300 digits; the parser says where.
+    digits = "2" * 5000
+    for text, at in ((f"{digits}: 2,2 | 2,2", 0), (f"4: 2,{digits} | 2,2", 5)):
+        with pytest.raises(DatumParseError, match="5000 digits is too long") as err:
+            parse_datum(text)
+        assert err.value.position == at
 
 
 _NUMBERS = st.sampled_from(["0", "1", "2", "3", "4", "10", "007", "٣", "2²"])

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conecover import all_instances, enumerate_data, format_datum, parse_datum
-from conecover import cli, monodromy
+from conecover import cli, lift, monodromy
 from conecover.cli import main
 
 D4 = "4: 3,1 | 2,2 | 2,2"
@@ -162,7 +162,7 @@ def test_realize_and_catalog_reject_negative_budget(capsys, monkeypatch):
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli, "find_witness", no_work)
-    monkeypatch.setattr(cli, "search_certificate", no_work)
+    monkeypatch.setattr(cli, "classify", no_work)
     for argv in (("realize", D9), ("catalog", "--max-degree", "4")):
         code, out, err = invoke(capsys, *argv, "--budget", "-1")
         assert code == 2
@@ -220,7 +220,7 @@ def test_catalog_budget_runs_out(capsys):
 
 
 def test_catalog_refuses_a_certified_realizable_datum(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "search_certificate", lambda datum, **_: object())
+    monkeypatch.setattr(lift, "search_certificate", lambda datum, **_: object())
     datum = format_datum(next(enumerate_data(3, 3)))
     with pytest.raises(RuntimeError, match="soundness violation") as info:
         main(["catalog", "--max-degree", "3"])
@@ -368,6 +368,17 @@ def test_verify_certificate_rejects_a_non_boolean_verdict(capsys, tmp_path):
     path.write_text(json.dumps(blob))
     code, out, err = invoke(capsys, "verify-certificate", str(path))
     assert code == 2 and out == "" and "admissible" in err
+
+
+def test_verify_certificate_rejects_a_non_integer_witness_entry(capsys, tmp_path):
+    # The base verdict is case D; int() would read "3" as 3.
+    _, out, _ = invoke(capsys, "certify", D4, "--beta", "2,1/2,1/2")
+    blob = json.loads(out)
+    blob["base_verdict"]["coaxial_witness"]["k_prime"] = "3"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "verify-certificate", str(path))
+    assert code == 2 and out == "" and "k_prime" in err
 
 
 def test_verify_witness_rejects_a_non_integer_degree(capsys, tmp_path):

@@ -16,9 +16,9 @@ from conecover import (
     CertificationRefused,
     ExceptionalityCertificate,
     certify_exceptional,
+    classify,
     decide_admissible,
     enumerate_data,
-    find_witness,
     lift_angles,
     parse_datum,
     partitions_of,
@@ -338,15 +338,16 @@ def test_search_rejects_empty_grid(bounds):
         search_certificate(KLEIN, *bounds)
 
 
-def test_search_agrees_with_oracle_at_tiny_degree():
-    from conecover import enumerate_data
-
-    for degree in (3, 4):
-        for datum in enumerate_data(degree, 3):
-            cert = search_certificate(datum)
-            res = find_witness(datum, budget=None)
-            if cert is not None:
-                assert res.status == "unrealizable"
-                assert verify_certificate(cert)
-            else:
-                assert res.status == "realizable"
+def test_classify_orders_the_verdicts():
+    # A witness decides first, then a certificate, even where the oracle's
+    # budget runs out; a datum with neither is UNKNOWN.
+    for text, budget, verdict, evidence in (
+            ("4: 3,1 | 3,1 | 2,2", 1, "REALIZABLE", ["witness"]),
+            ("4: 3,1 | 2,2 | 2,2", 1, "EXCEPTIONAL_CERTIFIED", ["certificate"]),
+            ("4: 3,1 | 3,1 | 3,1", 1, "UNKNOWN", []),
+            ("4: 3,1 | 3,1 | 3,1", None, "REALIZABLE", ["witness"])):
+        row = classify(parse_datum(text), budget=budget)
+        assert row.verdict == verdict
+        blob = row.to_json()
+        assert list(blob) == ["datum", "verdict", *evidence, "timings"]
+        assert list(blob["timings"]) == ["certify_s", "oracle_s"]

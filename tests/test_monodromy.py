@@ -17,6 +17,7 @@ from conecover import (
     Permutation,
     canonical_of_type,
     class_size,
+    classify,
     enumerate_data,
     find_witness,
     format_cycles,
@@ -365,7 +366,7 @@ def test_oracle_only_data_are_pinned():
         expected = reference_find_witness(datum)
         assert _outcome(expected) == (UNREALIZABLE, space, None)
         assert _outcome(find_witness(datum)) == _outcome(expected)
-        assert search_certificate(datum) is None
+        assert classify(datum).verdict == "EXCEPTIONAL_ORACLE"
 
 
 @st.composite
@@ -407,6 +408,8 @@ def test_verify_witness_negatives():
     # right types and identity product, but not transitive
     two_rows = BranchDatum(4, ((2, 2), (2, 2)))
     assert not verify_witness(two_rows, (p, p))
+    # each type fits into its row, but one row does not partition the degree
+    assert not verify_witness(BranchDatum(4, ((2, 2, 1), (2, 2), (2, 2))), good)
 
 
 def test_witness_json_round_trip():
@@ -415,3 +418,11 @@ def test_witness_json_round_trip():
     assert blob == {"degree": 4,
                     "perms": ["(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)"]}
     assert MonodromyWitness.from_json(blob) == w
+
+
+def test_witness_json_refuses_a_non_integer_degree():
+    # int() would read each of these as a degree of 4 or 1.
+    blob = find_witness(KLEIN).witness.to_json()
+    for degree in (4.7, 4.0, "4", True):
+        with pytest.raises(TypeError, match="degree"):
+            MonodromyWitness.from_json({**blob, "degree": degree})
