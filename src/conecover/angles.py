@@ -1,8 +1,9 @@
 """Exact cone-angle arithmetic and the admissibility decision.
 
 Angles are measured in turns: an entry of 1 is a smooth point (cone angle
-2*pi), 1/2 is a cone of angle pi, 3/2 a cone of angle 3*pi.  Inputs and
-outputs are exact `fractions.Fraction` values; floats are rejected
+2*pi), 1/2 is a cone of angle pi, 3/2 a cone of angle 3*pi.  Outputs are
+exact `fractions.Fraction` values; inputs may also be ints or strings
+that `parse_fraction` reads, but floats are rejected
 outright.  The rules themselves run once, in `decide_scaled`, on `int`
 numerators over a common denominator, so every comparison is exact.
 `decide_admissible` and `l1_distance_to_odd_lattice` scale their input
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .branch_data import require_int
+from .branch_data import _read_decimal, require_int
 
 CASE_EMPTY = "EMPTY"
 CASE_A = "A"
@@ -70,9 +71,11 @@ class AngleParseError(ValueError):
 def _as_rationals(values: Iterable) -> tuple[Fraction, ...]:
     out = []
     for v in values:
-        if isinstance(v, float):
-            raise TypeError(f"floating-point value {v!r}: exact rationals only")
-        out.append(v if isinstance(v, Fraction) else Fraction(v))
+        if not isinstance(v, Fraction):
+            if isinstance(v, float):
+                raise TypeError(f"floating-point value {v!r}: exact rationals only")
+            v = parse_fraction(v)
+        out.append(v)
     return tuple(out)
 
 
@@ -147,8 +150,15 @@ class AdmissibilityVerdict:
     reason: str | None = None
 
     def __post_init__(self):
-        positive = self.case in (CASE_EMPTY, CASE_A, CASE_B, CASE_C, CASE_D)
-        if self.admissible != positive:
+        if not isinstance(self.admissible, bool):
+            raise ValueError(f"'admissible' must be true or false, got {self.admissible!r}")
+        if not isinstance(self.case, str):
+            raise TypeError(f"'case' must be a string, got {self.case!r}")
+        if not isinstance(self.reason, (str, type(None))):
+            raise TypeError(f"'reason' must be a string or null, got {self.reason!r}")
+        if self.case not in (CASE_EMPTY, CASE_A, CASE_B, CASE_C, CASE_D, CASE_NONE):
+            raise ValueError(f"unknown case {self.case!r}")
+        if self.admissible != (self.case != CASE_NONE):
             raise ValueError(f"case {self.case} contradicts admissible={self.admissible}")
 
     def to_json(self) -> dict:
@@ -163,9 +173,6 @@ class AdmissibilityVerdict:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AdmissibilityVerdict":
-        admissible = obj["admissible"]
-        if not isinstance(admissible, bool):
-            raise ValueError(f"'admissible' must be true or false, got {admissible!r}")
         lattice = None
         if "distance" in obj:
             lattice = OddLatticeResult(
@@ -173,15 +180,12 @@ class AdmissibilityVerdict:
                 nearest=tuple(require_int(z, "each entry of 'nearest'")
                               for z in obj["nearest"]),
             )
-        case = obj["case"]
-        if not isinstance(case, str):
-            raise TypeError(f"'case' must be a string, got {case!r}")
         coaxial = None
         if "coaxial_witness" in obj:
             coaxial = CoaxialWitness.from_json(obj["coaxial_witness"])
         return cls(
-            admissible=admissible,
-            case=case,
+            admissible=obj["admissible"],
+            case=obj["case"],
             lattice=lattice,
             coaxial=coaxial,
             reason=obj.get("reason"),
@@ -403,40 +407,29 @@ def troyanov_admissible(beta: Iterable) -> bool:
     return all(min(Fraction(2), 2 * v) + n - 2 > total for v in vals)
 
 
-_ANGLE_TOKEN = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_ANGLE_TOKEN = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_fraction(value) -> Fraction:
-    """Read one exact rational from an int or a 'p/q' / 'p' string."""
-    if isinstance(value, bool):
-        raise AngleParseError(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
+    """Read one exact rational: an int, or a string of an integer or p/q."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, float):
-        raise AngleParseError(f"decimal {value!r} rejected: fractions only")
-    if isinstance(value, str):
-        token = value.strip()
-        if not _ANGLE_TOKEN.match(token):
-            raise AngleParseError(
-                f"bad rational {value!r}: use integers or fractions like 2/3"
-            )
-        try:
-            return Fraction(token)
-        except ZeroDivisionError:
-            raise AngleParseError(f"zero denominator in {value!r}") from None
-    raise AngleParseError(f"expected a rational, got {value!r}")
+    match = _ANGLE_TOKEN.fullmatch(value.strip()) if isinstance(value, str) else None
+    if match is None:
+        raise AngleParseError(f"bad rational {value!r}: use integers or fractions like 2/3")
+    p = _read_decimal(match[1], "a numerator", AngleParseError)
+    q = _read_decimal(match[2] or "1", "a denominator", AngleParseError)
+    if q == 0:
+        raise AngleParseError(f"zero denominator in {value!r}")
+    return Fraction(p, q)
 
 
 def parse_angles(text: str) -> tuple[Fraction, ...]:
-    """Parse a comma-separated angle vector like `1/2,2/3,2/3`.
-
-    Only integers and p/q fractions are accepted; decimals such as `0.5`
-    are rejected to keep the arithmetic exact.  Entries must be positive.
-    """
+    """Parse a comma-separated vector of positive angles like `1/2,2/3,2`."""
     tokens = [t.strip() for t in text.split(",")]
     if tokens == [""]:
         raise AngleParseError("empty angle vector")
-    return as_angles([parse_fraction(t) for t in tokens])
+    return as_angles(tokens)
 
 
 def format_angles(beta: Iterable) -> str:

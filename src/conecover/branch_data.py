@@ -47,6 +47,15 @@ def require_int(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+def _read_decimal(token: str, what: str = "a JSON integer", error=ValueError) -> int:
+    # The one reader of numbers from text and JSON (as `parse_int`): past
+    # int()'s digit limit it raises `error`, naming what was too long.
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"{what} of {len(token.lstrip('+-'))} digits is too long") from None
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of a positive integer, parts sorted non-increasingly."""
@@ -274,9 +283,11 @@ def parse_datum(text: str) -> BranchDatum:
     """
     if text.lstrip().startswith("{"):
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, parse_int=_read_decimal)
         except json.JSONDecodeError as exc:
             raise DatumParseError(f"bad JSON: {exc.msg}", exc.pos) from None
+        except ValueError as exc:
+            raise DatumParseError(str(exc)) from None
         return BranchDatum.from_json(obj).canonical()
 
     tokens = [(match[0], match.start()) for match in _TOKEN.finditer(text)]
@@ -302,11 +313,9 @@ def parse_datum(text: str) -> BranchDatum:
             if not token.isdecimal():
                 raise DatumParseError(f"expected {what}, got {token!r}", offset)
             try:
-                value = int(token)
-            except ValueError:
-                # Python refuses to convert more than sys.get_int_max_str_digits().
-                raise DatumParseError(f"{what} of {len(token)} digits is too long",
-                                      offset) from None
+                value = _read_decimal(token, what)
+            except ValueError as exc:
+                raise DatumParseError(str(exc), offset) from None
             if value < 1:
                 raise DatumParseError(f"{'parts' if k else 'degree'} must be positive",
                                       offset)

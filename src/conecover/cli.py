@@ -16,6 +16,7 @@ from collections import Counter
 from .angles import decide_admissible, parse_angles
 from .branch_data import (
     BranchDatum,
+    _read_decimal,
     enumerate_data,
     parse_datum,
     require_int,
@@ -49,11 +50,11 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _read_text(path: str) -> str:
+def _read_json(path: str):
     if path == "-":
-        return sys.stdin.read()
+        return json.load(sys.stdin, parse_int=_read_decimal)
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return json.load(fh, parse_int=_read_decimal)
 
 
 def _budget(value: int) -> int | None:
@@ -167,10 +168,10 @@ def _parse_params(text: str) -> dict[str, int]:
         piece = piece.strip()
         if not piece:
             continue
-        name, _, value = piece.partition("=")
-        if not value or not value.strip().lstrip("-").isdigit():
+        name, _, value = map(str.strip, piece.partition("="))
+        if not value.removeprefix("-").isdecimal():
             raise ValueError(f"bad parameter {piece!r}: expected name=integer")
-        params[name.strip()] = int(value)
+        params[name] = _read_decimal(value, f"parameter {name}")
     return params
 
 
@@ -194,7 +195,7 @@ def cmd_families(args) -> int:
 
 
 def cmd_verify_certificate(args) -> int:
-    obj = json.loads(_read_text(args.path))
+    obj = _read_json(args.path)
     cert = ExceptionalityCertificate.from_json(obj)
     valid = verify_certificate(cert)
     _emit({"valid": valid})
@@ -202,7 +203,7 @@ def cmd_verify_certificate(args) -> int:
 
 
 def cmd_verify_witness(args) -> int:
-    obj = json.loads(_read_text(args.path))
+    obj = _read_json(args.path)
     raw = obj["datum"]
     datum = parse_datum(raw) if isinstance(raw, str) else BranchDatum.from_json(raw)
     # The degrees are compared before any cycle is parsed, since parsing

@@ -23,9 +23,9 @@ longer than its longest cycle, rules out every tuple that completes it,
 and they count as examined without being built.
 And a count can stand in for exhaustion: a search whose position reaches
 `_COUNT_PROBE` without a witness asks `counting` for the number of
-transitive tuples, and a count of zero ends it with the answer
-exhaustion would give.  Permutations compose left to right:
-(p * q)(x) = q(p(x)).
+transitive tuples, up to degree `_COUNT_MAX_DEGREE`, and a count of zero
+ends it with the answer exhaustion would give.  Permutations compose left
+to right: (p * q)(x) = q(p(x)).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterator, Sequence
 
-from .branch_data import BranchDatum, Partition, require_int, require_valid
+from .branch_data import BranchDatum, Partition, _read_decimal, require_int, require_valid
 
 DEFAULT_BUDGET = 10**8
 
@@ -46,6 +46,9 @@ DEFAULT_BUDGET = 10**8
 # S_d's characters kept, a count costs about 0.3 ms, a few hundred nodes
 # (2-core x86-64, Python 3.11); probes of 250 or 500 were no faster.
 _COUNT_PROBE = 1000
+
+# The largest degree at which a search counts; see `find_witness`.
+_COUNT_MAX_DEGREE = 30
 
 REALIZABLE = "realizable"
 UNREALIZABLE = "unrealizable"
@@ -294,6 +297,15 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     deterministic), UNREALIZABLE when the space is exhausted or a count
     shows it holds no witness, or UNKNOWN when the node budget runs out
     first.  `budget` of None never stops; a negative one is refused.
+
+    A search that reaches 1,000 nodes (`_COUNT_PROBE`) without a witness
+    counts the transitive tuples, if the budget is None or at least that
+    probe and the degree is at most 30.  A count of zero answers
+    UNREALIZABLE, with `nodes` the whole space, even where the space is
+    larger than the budget.  Above degree 30 no count runs and the budget
+    alone bounds the search: the count's own cost grows fast with the
+    degree, to 3.3 s and 60 MB on the worst data tried at degree 30 and
+    5 s and 112 MB at degree 36 (2-core x86-64, Python 3.11).
     """
     require_valid(datum)
     if budget is not None and budget < 0:
@@ -307,7 +319,8 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     derived, pinned = ranked[-1][1], ranked[-2][1]
     enum_positions = [i for i in range(n) if i not in (derived, pinned)]
     space = prod(sizes[i] for i in enum_positions)
-    countable = space > _COUNT_PROBE and (budget is None or space <= budget)
+    countable = (space > _COUNT_PROBE and d <= _COUNT_MAX_DEGREE
+                 and (budget is None or budget >= _COUNT_PROBE))
 
     # The derived slot's inverse is the product of the slots after it and
     # then those before it.  Rotated so that the deepest enumerated slot
@@ -342,10 +355,12 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
             skipped = images.__class__ is int
             before = nodes
             nodes += images if skipped else 1
-            if budget is not None and nodes > budget:
-                return OracleResult(UNKNOWN, None, budget + 1)
+            # The probe comes first, so a skip past both the probe and the
+            # budget still counts.
             if before < _COUNT_PROBE <= nodes and countable and _transitive_count(d, rows) == 0:
                 return OracleResult(UNREALIZABLE, None, space)
+            if budget is not None and nodes > budget:
+                return OracleResult(UNKNOWN, None, budget + 1)
             if skipped or not _has_type(images, index, need):
                 continue
             # The cycle type matched: invert the product in its own order.
@@ -413,16 +428,12 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     images = list(range(1, degree + 1))
     touched = set()
     for group in re.findall(r"\(([^()]*)\)", text):
-        points = [int(tok) for tok in group.split()]
-        if not points:
-            continue
-        for p in points:
-            if not 1 <= p <= degree:
-                raise ValueError(f"point {p} outside 1..{degree}")
-            if p in touched:
-                raise ValueError(f"point {p} appears twice")
-            touched.add(p)
-        for a, b in zip(points, points[1:]):
+        points = [_read_decimal(tok, "a cycle point") for tok in group.split()]
+        for a, b in zip(points, points[1:] + points[:1]):
+            if not 1 <= a <= degree:
+                raise ValueError(f"point {a} outside 1..{degree}")
+            if a in touched:
+                raise ValueError(f"point {a} appears twice")
+            touched.add(a)
             images[a - 1] = b
-        images[points[-1] - 1] = points[0]
     return Permutation(tuple(images))

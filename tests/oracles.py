@@ -7,6 +7,7 @@ slip through, and the implementations share no logic.
 
 from collections import Counter
 from fractions import Fraction
+import functools
 import itertools
 import math
 import re
@@ -28,8 +29,9 @@ from conecover import (
 )
 from conecover.angles import as_angles, decide_scaled
 from conecover.branch_data import require_valid
-from conecover.lift import _family_candidates
 from conecover.monodromy import (
+    _COUNT_MAX_DEGREE,
+    _COUNT_PROBE,
     DEFAULT_BUDGET,
     REALIZABLE,
     UNKNOWN,
@@ -189,21 +191,43 @@ def reference_lift_decision(nums, rows, scale):
     return case, None if lattice is None else lattice[0]
 
 
+def reference_seeds(datum):
+    """The family seeds that `search_certificate` tries first, in order.
+
+    Three kinds of base vector, each as a pair (a, b) for the vector with
+    a in one entry and b in every other: all halves; one half, the rest
+    two-thirds; and 1 with 1/r for each r >= 2 that divides every part of
+    some row, r ascending.  Each pair gives the vectors with a in each
+    position, in ascending order, and a vector met before is not repeated.
+    """
+    n = len(datum.rows)
+    half = Fraction(1, 2)
+    pairs = [(half, half), (half, Fraction(2, 3))]
+    gcds = [math.gcd(*row.parts) for row in datum.rows]
+    for r in range(2, max(gcds) + 1):
+        if any(g % r == 0 for g in gcds):
+            pairs.append((Fraction(1), Fraction(1, r)))
+    out = []
+    for a, b in pairs:
+        orders = {tuple(a if j == i else b for j in range(n)) for i in range(n)}
+        out += [vec for vec in sorted(orders) if vec not in out]
+    return out
+
+
 def reference_search_certificate(datum, max_numerator, max_denominator):
     """`search_certificate` with no row tables, no grid cache and no skip.
 
-    The family seeds of `lift._family_candidates` come first, then every
-    vector of values p/q with p <= max_numerator and q <= max_denominator,
-    ordered by largest denominator and then lexicographically.  The first
-    vector that `decide_admissible` accepts and whose lift it rejects
-    certifies.
+    The family seeds of `reference_seeds` come first, then every vector of
+    values p/q with p <= max_numerator and q <= max_denominator, ordered
+    by largest denominator and then lexicographically.  The first vector
+    that `decide_admissible` accepts and whose lift it rejects certifies.
     """
     require_valid(datum)
     values = sorted({Fraction(p, q) for p in range(1, max_numerator + 1)
                      for q in range(1, max_denominator + 1)})
     grid = sorted(itertools.product(values, repeat=len(datum.rows)),
                   key=lambda vec: (max(v.denominator for v in vec), vec))
-    for vec in _family_candidates(datum) + grid:
+    for vec in reference_seeds(datum) + grid:
         base = decide_admissible(vec)
         if not base.admissible:
             continue
@@ -381,10 +405,28 @@ def reference_find_witness(datum, budget=DEFAULT_BUDGET):
 
     The same slots are derived, pinned and enumerated in the same order,
     but every node rebuilds the products of the slots before and after the
-    derived one from the identity and inverts both.  No count is taken:
-    UNREALIZABLE is reported only after every node was visited.
+    derived one from the identity and inverts both.  No count is taken.
+    Where `find_witness` would count (a space above `_COUNT_PROBE`, a
+    degree of at most `_COUNT_MAX_DEGREE`, and no budget or one of at
+    least the probe), a datum that an unbudgeted search proves
+    unrealizable is UNREALIZABLE with the whole space as `nodes`;
+    elsewhere UNREALIZABLE is reported only after every node was visited.
     """
     require_valid(datum)
+    space = math.prod(sorted(class_size(row, datum.degree) for row in datum.rows)[:-2])
+    if (space > _COUNT_PROBE and datum.degree <= _COUNT_MAX_DEGREE
+            and (budget is None or budget >= _COUNT_PROBE) and _exhausts(datum)):
+        return OracleResult(UNREALIZABLE, None, space)
+    return _reference_search(datum, budget)
+
+
+@functools.lru_cache(maxsize=None)
+def _exhausts(datum):
+    # Whether the whole space holds no witness: a count of zero.
+    return _reference_search(datum, None).status == UNREALIZABLE
+
+
+def _reference_search(datum, budget):
     d = datum.degree
     rows = [row.parts for row in datum.rows]
     n = len(rows)

@@ -1,6 +1,7 @@
 """Admissibility decision, odd-lattice distance, and angle parsing."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,7 @@ from conecover import (
     lift_angles,
     parse_angles,
     partitions_of,
+    search_certificate,
     troyanov_admissible,
 )
 from conecover.angles import (
@@ -396,7 +398,7 @@ def test_parse_fraction():
     assert parse_fraction(5) == 5
     assert parse_fraction("+3/6") == F(1, 2)
     assert parse_fraction("-1/2") == F(-1, 2)
-    for bad in ("0.5", "a", "1/2/3", "2/0", 0.5, True, None):
+    for bad in ("0.5", "a", "1/2/3", "2/0", 0.5, True, None, "2" * 5000, "1/" + "2" * 5000):
         with pytest.raises(AngleParseError):
             parse_fraction(bad)
 
@@ -427,3 +429,38 @@ def test_as_angles_guards():
         as_angles((0.5,))
     with pytest.raises(ValueError):
         as_angles((0,))
+
+
+def test_library_reads_integers_and_p_over_q():
+    datum = BranchDatum(4, ((3, 1), (2, 2), (2, 2)))
+    assert as_angles(("1/2", 2, " +3/6 ")) == (F(1, 2), 2, F(1, 2))
+    assert decide_admissible(("1/2", "2/3", 2)) == decide_admissible((F(1, 2), F(2, 3), 2))
+    assert lift_angles(("1", "1/2", 2), datum) == lift_angles((1, F(1, 2), 2), datum)
+    assert l1_distance_to_odd_lattice(("1/2", 2)) == l1_distance_to_odd_lattice((F(1, 2), 2))
+
+
+# Fraction(str) reads the first two on every version and "1_0/3" as 10/3 on
+# 3.11 and later, raises ZeroDivisionError on "1/0", and takes True as 1.
+@pytest.mark.parametrize("bad", ["0.5", "1e-3000000", "1_0/3", "1/0", True])
+def test_library_readers_refuse_what_parse_fraction_refuses(bad):
+    datum = BranchDatum(4, ((2, 2), (2, 2), (2, 2)))
+    readers = (as_angles, decide_admissible, l1_distance_to_odd_lattice,
+               lambda beta: lift_angles(beta, datum),
+               lambda beta: search_certificate(datum, extra_candidates=[beta]))
+    for read in readers:
+        start = time.perf_counter()
+        with pytest.raises(AngleParseError):
+            read(("1/2", bad, "1/2"))
+        assert time.perf_counter() - start < 0.01
+
+
+def test_verdict_refuses_unknown_cases_and_reasons():
+    with pytest.raises(ValueError, match="unknown case 'bogus'"):
+        AdmissibilityVerdict(False, "bogus")
+    with pytest.raises(TypeError, match="'reason' must be a string or null, got 5"):
+        AdmissibilityVerdict(False, CASE_NONE, reason=5)
+    blob = {"admissible": False, "case": "bogus", "reason": 5}
+    for change in ({}, {"reason": None}, {"case": CASE_NONE}):
+        with pytest.raises((TypeError, ValueError)):
+            AdmissibilityVerdict.from_json({**blob, **change})
+    assert AdmissibilityVerdict.from_json({**blob, "case": CASE_NONE, "reason": "x"})

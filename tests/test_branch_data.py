@@ -205,7 +205,8 @@ def test_parse_errors_carry_offsets():
 def test_parse_refuses_overlong_numbers():
     # int() refuses more than 4,300 digits; the parser says where.
     digits = "2" * 5000
-    for text, at in ((f"{digits}: 2,2 | 2,2", 0), (f"4: 2,{digits} | 2,2", 5)):
+    for text, at in ((f"{digits}: 2,2 | 2,2", 0), (f"4: 2,{digits} | 2,2", 5),
+                     ('{"degree": %s, "rows": [[2]]}' % digits, None)):
         with pytest.raises(DatumParseError, match="5000 digits is too long") as err:
             parse_datum(text)
         assert err.value.position == at

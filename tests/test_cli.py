@@ -2,6 +2,10 @@
 
 import io
 import json
+import re
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from conecover.cli import main
 D4 = "4: 3,1 | 2,2 | 2,2"
 D9 = "9: 2,2,2,2,1 | 3,3,3 | 3,3,3"
 KLEIN = "4: 2,2 | 2,2 | 2,2"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -170,6 +175,18 @@ def test_realize_and_catalog_reject_negative_budget(capsys, monkeypatch):
         assert err.startswith("error:") and "--budget" in err
 
 
+def test_realize_counts_past_the_budget(capsys):
+    # The space is 654,729,075 nodes, beyond the default budget; a count of
+    # zero settles it.
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "realize",
+                          "20: 11,9 | 2,2,2,2,2,2,2,2,2,2 | 2,2,2,2,2,2,2,2,2,2")
+    assert time.perf_counter() - start < 1.0
+    blob = json.loads(out)
+    assert code == 1
+    assert (blob["status"], blob["nodes"]) == ("unrealizable", 654729075)
+
+
 # --------------------------------------------------------------- enumerate
 
 
@@ -297,6 +314,12 @@ def test_families_bad_parameters(capsys):
     assert exc.value.code == 2
 
 
+def test_families_refuses_a_non_decimal_parameter(capsys):
+    # `²` is a digit to str.isdigit, but not a decimal
+    assert invoke(capsys, "families", "--family", "P3K", "--params", "k=²") == (
+        2, "", "error: bad parameter 'k=²': expected name=integer\n")
+
+
 # ------------------------------------------------------------ verification
 
 
@@ -405,3 +428,55 @@ def test_verify_handles_bad_files(capsys, tmp_path):
     path.write_text("{}")
     code, _, err = invoke(capsys, "verify-witness", str(path))
     assert code == 2 and "error:" in err
+
+
+def test_every_reader_names_an_overlong_number(capsys, tmp_path):
+    # int() refuses more than 4,300 digits; each reader says what was too long.
+    digits = "2" * 5000
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"datum": KLEIN, "witness": {
+        "degree": 4, "perms": ["(1 %s)" % digits] * 3}}))
+    cert = tmp_path / "c.json"
+    _, out, _ = invoke(capsys, "certify", D4)
+    assert '"nearest": [-1,' in out
+    cert.write_text(out.replace('"nearest": [-1,', '"nearest": [%s,' % digits, 1))
+    cases = [
+        (("validate", f"4: {digits},2 | 2,2"), "a part of 5000 digits is too long (at offset 3)"),
+        (("validate", '{"degree": %s, "rows": [[2]]}' % digits),
+         "a JSON integer of 5000 digits is too long"),
+        (("admissible", f"{digits},1/2,1/2"), "a numerator of 5000 digits is too long"),
+        (("families", "--family", "P3K", "--params", f"k={digits}"),
+         "parameter k of 5000 digits is too long"),
+        (("verify-witness", str(witness)), "a cycle point of 5000 digits is too long"),
+        (("verify-certificate", str(cert)), "a JSON integer of 5000 digits is too long"),
+    ]
+    for argv, message in cases:
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def _readme_blocks(kind):
+    # The fenced blocks of one kind in the README's Command line section.
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    return re.findall(rf"```{kind}\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+
+
+def test_readme_examples_run(capsys, tmp_path):
+    lines = _readme_blocks("sh")[0].splitlines()
+    assert lines
+    for line in lines:
+        command, _, rest = line.partition(" > ")
+        argv = shlex.split(command)
+        assert argv[0] == "conecover"
+        code, out, err = invoke(capsys, *argv[1:])
+        assert code == 0, (line, err)
+        if rest:
+            # `> file && conecover verify-* file`, with the file in tmp_path
+            name, _, verify = rest.partition(" && ")
+            argv = shlex.split(verify)
+            assert argv[0] == "conecover" and argv[-1] == name
+            (tmp_path / name).write_text(out)
+            code, out, err = invoke(capsys, *argv[1:-1], str(tmp_path / name))
+            assert (code, json.loads(out)) == (0, {"valid": True}), (line, err)
+    certificate, witness = _readme_blocks("json")
+    assert json.loads(certificate) == json.loads(invoke(capsys, "certify", D4)[1])
+    assert json.loads(witness) == json.loads(invoke(capsys, "realize", KLEIN)[1])

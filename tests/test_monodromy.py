@@ -256,12 +256,21 @@ def test_oracle_matches_reference(monkeypatch):
         assert _outcome(expected) == (UNREALIZABLE, space, None)
         assert _outcome(find_witness(datum)) == _outcome(expected)
         assert counted and counted[0] == datum.degree
-        # one node short of the space, both searches run out of budget
+        # one node short of the space, the count still settles it
         counted.clear()
         expected = reference_find_witness(datum, budget=space - 1)
-        assert _outcome(expected) == (UNKNOWN, space, None)
+        assert _outcome(expected) == (UNREALIZABLE, space, None)
         assert _outcome(find_witness(datum, budget=space - 1)) == _outcome(expected)
-        assert not counted
+        assert counted and counted[0] == datum.degree
+
+
+def test_count_needs_the_probe_and_the_degree_cap(monkeypatch):
+    # A count of zero settles this datum at the default budget, as test_cli
+    # checks; no count runs under a budget below the probe or above the cap.
+    datum = parse_datum("20: 11,9 | 2,2,2,2,2,2,2,2,2,2 | 2,2,2,2,2,2,2,2,2,2")
+    assert _outcome(find_witness(datum, budget=999)) == (UNKNOWN, 1000, None)
+    monkeypatch.setattr(monodromy, "_COUNT_MAX_DEGREE", 19)
+    assert _outcome(find_witness(datum, budget=5000)) == (UNKNOWN, 5001, None)
 
 
 BUDGET_DATA = [datum for points, top in ((3, 8), (4, 7), (5, 6))
