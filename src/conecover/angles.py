@@ -3,9 +3,9 @@
 Angles are measured in turns: an entry of 1 is a smooth point (cone angle
 2*pi), 1/2 is a cone of angle pi, 3/2 a cone of angle 3*pi.  Outputs are
 exact `fractions.Fraction` values; inputs may also be ints or strings
-that `parse_fraction` reads, but floats are rejected
-outright.  The rules themselves run once, in `decide_scaled`, on `int`
-numerators over a common denominator, so every comparison is exact.
+that `parse_fraction` reads, but floats are rejected outright.  The rules
+themselves run once, in `decide_scaled`, on `int` numerators over a
+common denominator, so every comparison is exact.
 `decide_admissible` and `l1_distance_to_odd_lattice` scale their input
 and wrap the answer.  The checks up to the odd-lattice distance live in
 `screen_scaled`, on terms that add over a concatenation of vectors, so
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .branch_data import _read_decimal, require_int
+from .branch_data import read_decimal, require_int
 
 CASE_EMPTY = "EMPTY"
 CASE_A = "A"
@@ -71,11 +71,9 @@ class AngleParseError(ValueError):
 def _as_rationals(values: Iterable) -> tuple[Fraction, ...]:
     out = []
     for v in values:
-        if not isinstance(v, Fraction):
-            if isinstance(v, float):
-                raise TypeError(f"floating-point value {v!r}: exact rationals only")
-            v = parse_fraction(v)
-        out.append(v)
+        if isinstance(v, float):
+            raise TypeError(f"floating-point value {v!r}: exact rationals only")
+        out.append(v if isinstance(v, Fraction) else parse_fraction(v))
     return tuple(out)
 
 
@@ -417,8 +415,11 @@ def parse_fraction(value) -> Fraction:
     match = _ANGLE_TOKEN.fullmatch(value.strip()) if isinstance(value, str) else None
     if match is None:
         raise AngleParseError(f"bad rational {value!r}: use integers or fractions like 2/3")
-    p = _read_decimal(match[1], "a numerator", AngleParseError)
-    q = _read_decimal(match[2] or "1", "a denominator", AngleParseError)
+    try:
+        p = read_decimal(match[1], "a numerator")
+        q = read_decimal(match[2] or "1", "a denominator")
+    except ValueError as exc:
+        raise AngleParseError(str(exc)) from None
     if q == 0:
         raise AngleParseError(f"zero denominator in {value!r}")
     return Fraction(p, q)

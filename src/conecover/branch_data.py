@@ -47,13 +47,12 @@ def require_int(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
-def _read_decimal(token: str, what: str = "a JSON integer", error=ValueError) -> int:
-    # The one reader of numbers from text and JSON (as `parse_int`): past
-    # int()'s digit limit it raises `error`, naming what was too long.
+def read_decimal(token: str, what: str = "a JSON integer") -> int:
+    """Read a digit token from text or JSON as an int, naming `what` if it is too long."""
     try:
         return int(token)
     except ValueError:
-        raise error(f"{what} of {len(token.lstrip('+-'))} digits is too long") from None
+        raise ValueError(f"{what} of {len(token.lstrip('+-'))} digits is too long") from None
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,7 @@ def parse_datum(text: str) -> BranchDatum:
     """
     if text.lstrip().startswith("{"):
         try:
-            obj = json.loads(text, parse_int=_read_decimal)
+            obj = json.loads(text, parse_int=read_decimal)
         except json.JSONDecodeError as exc:
             raise DatumParseError(f"bad JSON: {exc.msg}", exc.pos) from None
         except ValueError as exc:
@@ -313,7 +312,7 @@ def parse_datum(text: str) -> BranchDatum:
             if not token.isdecimal():
                 raise DatumParseError(f"expected {what}, got {token!r}", offset)
             try:
-                value = _read_decimal(token, what)
+                value = read_decimal(token, what)
             except ValueError as exc:
                 raise DatumParseError(str(exc), offset) from None
             if value < 1:

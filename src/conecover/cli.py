@@ -16,9 +16,9 @@ from collections import Counter
 from .angles import decide_admissible, parse_angles
 from .branch_data import (
     BranchDatum,
-    _read_decimal,
     enumerate_data,
     parse_datum,
+    read_decimal,
     require_int,
     validate_datum,
 )
@@ -52,9 +52,9 @@ def _emit(obj) -> None:
 
 def _read_json(path: str):
     if path == "-":
-        return json.load(sys.stdin, parse_int=_read_decimal)
+        return json.load(sys.stdin, parse_int=read_decimal)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=_read_decimal)
+        return json.load(fh, parse_int=read_decimal)
 
 
 def _budget(value: int) -> int | None:
@@ -171,7 +171,7 @@ def _parse_params(text: str) -> dict[str, int]:
         name, _, value = map(str.strip, piece.partition("="))
         if not value.removeprefix("-").isdecimal():
             raise ValueError(f"bad parameter {piece!r}: expected name=integer")
-        params[name] = _read_decimal(value, f"parameter {name}")
+        params[name] = read_decimal(value, f"parameter {name}")
     return params
 
 

@@ -23,9 +23,10 @@ longer than its longest cycle, rules out every tuple that completes it,
 and they count as examined without being built.
 And a count can stand in for exhaustion: a search whose position reaches
 `_COUNT_PROBE` without a witness asks `counting` for the number of
-transitive tuples, up to degree `_COUNT_MAX_DEGREE`, and a count of zero
-ends it with the answer exhaustion would give.  Permutations compose left
-to right: (p * q)(x) = q(p(x)).
+transitive tuples, and a count of zero ends it with the answer
+exhaustion would give, even past the budget up to degree
+`_COUNT_MAX_DEGREE`.  Permutations compose left to right:
+(p * q)(x) = q(p(x)).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterator, Sequence
 
-from .branch_data import BranchDatum, Partition, _read_decimal, require_int, require_valid
+from .branch_data import BranchDatum, Partition, read_decimal, require_int, require_valid
 
 DEFAULT_BUDGET = 10**8
 
@@ -47,7 +48,8 @@ DEFAULT_BUDGET = 10**8
 # (2-core x86-64, Python 3.11); probes of 250 or 500 were no faster.
 _COUNT_PROBE = 1000
 
-# The largest degree at which a search counts; see `find_witness`.
+# The largest degree at which a count may settle a space larger than the
+# budget; see `find_witness`.
 _COUNT_MAX_DEGREE = 30
 
 REALIZABLE = "realizable"
@@ -299,13 +301,14 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     first.  `budget` of None never stops; a negative one is refused.
 
     A search that reaches 1,000 nodes (`_COUNT_PROBE`) without a witness
-    counts the transitive tuples, if the budget is None or at least that
-    probe and the degree is at most 30.  A count of zero answers
-    UNREALIZABLE, with `nodes` the whole space, even where the space is
-    larger than the budget.  Above degree 30 no count runs and the budget
-    alone bounds the search: the count's own cost grows fast with the
-    degree, to 3.3 s and 60 MB on the worst data tried at degree 30 and
-    5 s and 112 MB at degree 36 (2-core x86-64, Python 3.11).
+    counts the transitive tuples when the budget is None or covers the
+    whole space, and a count of zero answers UNREALIZABLE, with `nodes`
+    the whole space.  Where the space is larger than the budget, it counts
+    only if the budget is at least the probe and the degree is at most 30:
+    the count's own cost grows fast with the degree, to 3.3 s and 60 MB on
+    the worst data tried at degree 30 and 5 s and 112 MB at degree 36
+    (2-core x86-64, Python 3.11), and above that the budget alone bounds
+    the search.
     """
     require_valid(datum)
     if budget is not None and budget < 0:
@@ -319,8 +322,9 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     derived, pinned = ranked[-1][1], ranked[-2][1]
     enum_positions = [i for i in range(n) if i not in (derived, pinned)]
     space = prod(sizes[i] for i in enum_positions)
-    countable = (space > _COUNT_PROBE and d <= _COUNT_MAX_DEGREE
-                 and (budget is None or budget >= _COUNT_PROBE))
+    countable = space > _COUNT_PROBE and (
+        budget is None or space <= budget
+        or (budget >= _COUNT_PROBE and d <= _COUNT_MAX_DEGREE))
 
     # The derived slot's inverse is the product of the slots after it and
     # then those before it.  Rotated so that the deepest enumerated slot
@@ -428,7 +432,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     images = list(range(1, degree + 1))
     touched = set()
     for group in re.findall(r"\(([^()]*)\)", text):
-        points = [_read_decimal(tok, "a cycle point") for tok in group.split()]
+        points = [read_decimal(tok, "a cycle point") for tok in group.split()]
         for a, b in zip(points, points[1:] + points[:1]):
             if not 1 <= a <= degree:
                 raise ValueError(f"point {a} outside 1..{degree}")

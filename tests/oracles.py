@@ -406,16 +406,19 @@ def reference_find_witness(datum, budget=DEFAULT_BUDGET):
     The same slots are derived, pinned and enumerated in the same order,
     but every node rebuilds the products of the slots before and after the
     derived one from the identity and inverts both.  No count is taken.
-    Where `find_witness` would count (a space above `_COUNT_PROBE`, a
-    degree of at most `_COUNT_MAX_DEGREE`, and no budget or one of at
-    least the probe), a datum that an unbudgeted search proves
-    unrealizable is UNREALIZABLE with the whole space as `nodes`;
-    elsewhere UNREALIZABLE is reported only after every node was visited.
+    Where `find_witness` would count (a space above `_COUNT_PROBE`, and
+    no budget, one that covers the space, or one of at least the probe at
+    a degree of at most `_COUNT_MAX_DEGREE`), a datum that an unbudgeted
+    search proves unrealizable is UNREALIZABLE with the whole space as
+    `nodes`; elsewhere UNREALIZABLE is reported only after every node was
+    visited.
     """
     require_valid(datum)
     space = math.prod(sorted(class_size(row, datum.degree) for row in datum.rows)[:-2])
-    if (space > _COUNT_PROBE and datum.degree <= _COUNT_MAX_DEGREE
-            and (budget is None or budget >= _COUNT_PROBE) and _exhausts(datum)):
+    countable = space > _COUNT_PROBE and (
+        budget is None or space <= budget
+        or (budget >= _COUNT_PROBE and datum.degree <= _COUNT_MAX_DEGREE))
+    if countable and _exhausts(datum):
         return OracleResult(UNREALIZABLE, None, space)
     return _reference_search(datum, budget)
 

@@ -234,14 +234,8 @@ def _outcome(result):
     return result.status, result.nodes, witness
 
 
-def test_oracle_matches_reference(monkeypatch):
-    data = [datum for degree in range(2, 10) for datum in enumerate_data(degree, 3)]
-    data += [datum for degree in range(4, 8) for datum in enumerate_data(degree, 4)]
-    # two outer levels of enumeration
-    data += [datum for degree in range(3, 7) for datum in enumerate_data(degree, 5)]
-    for datum in data:
-        assert _outcome(find_witness(datum)) == _outcome(reference_find_witness(datum))
-
+def _spy_on_counts(monkeypatch):
+    # The degree of every transitive count taken from now on.
     counted = []
 
     class Spy(TupleCounts):
@@ -250,6 +244,18 @@ def test_oracle_matches_reference(monkeypatch):
             return super().transitive(degree, rows)
 
     monkeypatch.setattr(counting, "TupleCounts", Spy)
+    return counted
+
+
+def test_oracle_matches_reference(monkeypatch):
+    data = [datum for degree in range(2, 10) for datum in enumerate_data(degree, 3)]
+    data += [datum for degree in range(4, 8) for datum in enumerate_data(degree, 4)]
+    # two outer levels of enumeration
+    data += [datum for degree in range(3, 7) for datum in enumerate_data(degree, 5)]
+    for datum in data:
+        assert _outcome(find_witness(datum)) == _outcome(reference_find_witness(datum))
+
+    counted = _spy_on_counts(monkeypatch)
     for datum, space in ((D10, 22400), (D8, 11025)):
         counted.clear()
         expected = reference_find_witness(datum)
@@ -266,11 +272,19 @@ def test_oracle_matches_reference(monkeypatch):
 
 def test_count_needs_the_probe_and_the_degree_cap(monkeypatch):
     # A count of zero settles this datum at the default budget, as test_cli
-    # checks; no count runs under a budget below the probe or above the cap.
+    # checks; no count runs under a budget below the probe, and above the
+    # cap only one that is None or covers the space still counts.
     datum = parse_datum("20: 11,9 | 2,2,2,2,2,2,2,2,2,2 | 2,2,2,2,2,2,2,2,2,2")
+    space = 654729075
+    counted = _spy_on_counts(monkeypatch)
     assert _outcome(find_witness(datum, budget=999)) == (UNKNOWN, 1000, None)
     monkeypatch.setattr(monodromy, "_COUNT_MAX_DEGREE", 19)
     assert _outcome(find_witness(datum, budget=5000)) == (UNKNOWN, 5001, None)
+    assert not counted
+    for budget in (None, space):
+        assert _outcome(find_witness(datum, budget=budget)) == (UNREALIZABLE, space, None)
+        assert counted == [20]
+        counted.clear()
 
 
 BUDGET_DATA = [datum for points, top in ((3, 8), (4, 7), (5, 6))
