@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 
@@ -57,6 +58,19 @@ def _read_json(path: str):
         return json.load(fh, parse_int=read_decimal)
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The type of every integer option: ASCII digits, optionally after '-'."""
+    try:
+        if _INTEGER.fullmatch(text):
+            return read_decimal(text, "an integer")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError("expected ASCII digits, optionally after '-'")
+
+
 def _budget(value: int) -> int | None:
     if value < 0:
         raise ValueError(f"--budget must be 0 (unlimited) or positive, got {value}")
@@ -73,18 +87,22 @@ def cmd_validate(args) -> int:
 
 
 def cmd_admissible(args) -> int:
-    beta = parse_angles(args.angles)
-    verdict = decide_admissible(beta)
+    verdict = decide_admissible(parse_angles(args.angles))
     _emit(verdict.to_json())
     return 0 if verdict.admissible else 1
 
 
 def cmd_certify(args) -> int:
     datum = parse_datum(args.datum)
-    if args.beta is not None:
-        beta = parse_angles(args.beta)
+    if args.beta is None:
+        extras = tuple(parse_angles(text) for text in args.extra)
+        cert = search_certificate(datum, args.max_numerator, args.max_denominator, extras)
+        if cert is None:
+            _emit({"certified": False, "reason": "no witness found"})
+            return 1
+    else:
         try:
-            cert = certify_exceptional(datum, beta)
+            cert = certify_exceptional(datum, parse_angles(args.beta))
         except CertificationRefused as refusal:
             out = {"certified": False, "reason": refusal.kind,
                    "base_verdict": refusal.base_verdict.to_json()}
@@ -92,18 +110,6 @@ def cmd_certify(args) -> int:
                 out["lifted_verdict"] = refusal.lifted_verdict.to_json()
             _emit(out)
             return 1
-        _emit(cert.to_json())
-        return 0
-    extras = tuple(parse_angles(text) for text in args.extra)
-    cert = search_certificate(
-        datum,
-        max_numerator=args.max_numerator,
-        max_denominator=args.max_denominator,
-        extra_candidates=extras,
-    )
-    if cert is None:
-        _emit({"certified": False, "reason": "no witness found"})
-        return 1
     _emit(cert.to_json())
     return 0
 
@@ -116,11 +122,7 @@ def cmd_realize(args) -> int:
     if result.witness is not None:
         out["witness"] = result.witness.to_json()
     _emit(out)
-    if result.status == REALIZABLE:
-        return 0
-    if result.status == UNREALIZABLE:
-        return 1
-    return 2
+    return {REALIZABLE: 0, UNREALIZABLE: 1}.get(result.status, 2)
 
 
 def cmd_enumerate(args) -> int:
@@ -156,10 +158,8 @@ def _summary_table(summary: dict[int, Counter]) -> str:
         rows.append([str(degree)] + [str(counts.get(v, 0)) for v in verdicts]
                     + [str(sum(counts.values()))])
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+                     for row in rows)
 
 
 def _parse_params(text: str) -> dict[str, int]:
@@ -169,8 +169,10 @@ def _parse_params(text: str) -> dict[str, int]:
         if not piece:
             continue
         name, _, value = map(str.strip, piece.partition("="))
-        if not value.removeprefix("-").isdecimal():
+        if not _INTEGER.fullmatch(value):
             raise ValueError(f"bad parameter {piece!r}: expected name=integer")
+        if name in params:
+            raise ValueError(f"parameter {name} is given twice")
         params[name] = read_decimal(value, f"parameter {name}")
     return params
 
@@ -178,9 +180,7 @@ def _parse_params(text: str) -> dict[str, int]:
 def _build_family(family_id: str, params: dict[str, int]):
     builder, need = FAMILIES[family_id]
     if set(params) != set(need):
-        raise ValueError(
-            f"family {family_id} takes parameters {','.join(need)}"
-        )
+        raise ValueError(f"family {family_id} takes parameters {','.join(need)}")
     return builder(*(params[name] for name in need))
 
 
@@ -236,35 +236,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", help="try exactly this base vector instead of searching")
     p.add_argument("--extra", action="append", default=[], metavar="ANGLES",
                    help="extra search candidates, tried before the grid")
-    p.add_argument("--max-numerator", type=int, default=6)
-    p.add_argument("--max-denominator", type=int, default=6)
+    p.add_argument("--max-numerator", type=_integer, default=6)
+    p.add_argument("--max-denominator", type=_integer, default=6)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("realize", help="search for a monodromy witness")
     p.add_argument("datum")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET,
                    help="backtrack node limit, 0 for unlimited")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("enumerate", help="stream all valid data, one JSON per line")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--branch-points", type=int, required=True)
+    p.add_argument("--degree", type=_integer, required=True)
+    p.add_argument("--branch-points", type=_integer, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("catalog", help="classify every datum up to a degree")
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--branch-points", type=int, default=3)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--max-degree", type=_integer, required=True)
+    p.add_argument("--branch-points", type=_integer, default=3)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET,
                    help="oracle node limit, 0 for unlimited")
-    p.add_argument("--max-numerator", type=int, default=6)
-    p.add_argument("--max-denominator", type=int, default=6)
+    p.add_argument("--max-numerator", type=_integer, default=6)
+    p.add_argument("--max-denominator", type=_integer, default=6)
     p.add_argument("--table", action="store_true",
                    help="render the summary as a text table")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("families", help="emit known exceptional family instances")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degree", type=int, help="all instances of this degree")
+    group.add_argument("--degree", type=_integer, help="all instances of this degree")
     group.add_argument("--family", choices=FAMILY_IDS)
     p.add_argument("--params", help="family parameters, e.g. k=3,j1=1,j2=2")
     p.set_defaults(func=cmd_families)
@@ -289,6 +289,9 @@ def main(argv=None) -> int:
         return 2
     except (KeyError, TypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -11,12 +11,12 @@ recheck with the admissibility decision alone.
 One rule, `certify_exceptional`, decides every candidate of the search
 and every certificate the verifier rechecks.  `search_certificate` streams
 family seeds, extra candidates, then a cached grid of small fractions kept
-as runs of index tuples that differ only in their last entry; an integer
-screen filters the grid.  Per row and grid value it tabulates the
-`angles.screen_scaled` terms of the lifted entries.  A lift whose summed
-rounding cost exceeds 1 is case A from that sum alone, so the walk sums
-each run's prefix once and skips it; the summed terms settle most of the
-rest, and only lifts at distance exactly 1 reach `angles.boundary_scaled`.
+as runs of index tuples that differ only in their last entry.  An integer
+screen filters the grid from tables, per row and grid value, of the lifted
+non-unit entries and their `angles.screen_scaled` terms.  A lift whose
+summed rounding cost exceeds 1 is case A, so the walk sums each run's
+prefix once and skips it; the summed terms settle most of the rest, and
+only lifts at distance exactly 1 reach `angles.boundary_scaled`.
 `classify` joins the search to the monodromy oracle into one verdict.
 """
 
@@ -107,9 +107,7 @@ def lift_angles(beta: Iterable, datum: BranchDatum) -> tuple[Fraction, ...]:
     """
     vals = as_angles(beta)
     if len(vals) != len(datum.rows):
-        raise ValueError(
-            f"angle vector has {len(vals)} entries for {len(datum.rows)} rows"
-        )
+        raise ValueError(f"angle vector has {len(vals)} entries for {len(datum.rows)} rows")
     return tuple(part * b for b, row in zip(vals, datum.rows) for part in row.parts)
 
 
@@ -144,49 +142,43 @@ def verify_certificate(cert: ExceptionalityCertificate) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _grid_values(max_numerator: int, max_denominator: int) -> tuple[Fraction, ...]:
-    values = {
-        Fraction(p, q)
-        for p in range(1, max_numerator + 1)
-        for q in range(1, max_denominator + 1)
-    }
-    return tuple(sorted(values))
-
-
-def _grid_scale(max_denominator: int) -> int:
-    # The least common denominator of every grid entry.
-    return math.lcm(*range(1, max_denominator + 1))
+def _grid(max_numerator: int, max_denominator: int
+          ) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
+    # The grid's values p/q ascending, their least common denominator (the
+    # scale), and each value's numerator over the scale.
+    values = tuple(sorted({Fraction(p, q) for p in range(1, max_numerator + 1)
+                           for q in range(1, max_denominator + 1)}))
+    scale = math.lcm(*range(1, max_denominator + 1))
+    return values, scale, tuple(scaled_numerators(values, scale))
 
 
 def require_grid_bounds(max_numerator: int, max_denominator: int) -> None:
     """Raise ValueError unless both grid bounds are at least 1."""
     if max_numerator < 1 or max_denominator < 1:
-        raise ValueError(
-            f"grid bounds must be at least 1, got max_numerator={max_numerator}"
-            f" and max_denominator={max_denominator}"
-        )
+        raise ValueError(f"grid bounds must be at least 1, got max_numerator={max_numerator}"
+                         f" and max_denominator={max_denominator}")
 
 
 def _row_table(parts: Sequence[int], nums: Sequence[int], scale: int) -> list[tuple]:
     # For each grid value nums[i] / scale, the `screen_scaled` terms of the
-    # non-unit entries m * nums[i] that a row with these parts lifts it to.
+    # non-unit entries m * nums[i] that a row with these parts lifts it to,
+    # then those entries themselves, shifted by -scale.
     table = []
     for x in nums:
-        shifted = [m * x - scale for m in parts if m * x != scale]
+        shifted = tuple(m * x - scale for m in parts if m * x != scale)
         _, cost, parity, flip = round_scaled(shifted, scale)
-        table.append((len(shifted), sum(shifted), cost, parity, flip))
+        table.append((len(shifted), sum(shifted), cost, parity, flip, shifted))
     return table
 
 
-def _lift_case(rows: Sequence[Sequence[int]], tables: Sequence[list[tuple]],
-               nums: Sequence[int], idx: tuple[int, ...], scale: int) -> str:
-    # The admissibility case of the lift through `rows` of the grid vector
-    # whose entry r is nums[idx[r]] / scale.  It is screened from the sums
-    # of the row tables; at distance exactly 1 the boundary rules decide.
+def _lift_case(tables: Sequence[list[tuple]], idx: tuple[int, ...], scale: int) -> str:
+    # The admissibility case of the lift, through the rows of the tables, of
+    # the grid vector whose entry r is grid value idx[r].  It is screened from
+    # the tables' sums; at distance 1 the boundary rules read their entries.
     count = shift = cost = parity = 0
     flip = scale
     for table, i in zip(tables, idx):
-        c, s, k, p, f = table[i]
+        c, s, k, p, f, _ = table[i]
         count += c
         shift += s
         cost += k
@@ -195,8 +187,7 @@ def _lift_case(rows: Sequence[Sequence[int]], tables: Sequence[list[tuple]],
             flip = f
     case = screen_scaled(count, shift, cost, parity, flip, scale)[0]
     if case is None:
-        shifted = [m * nums[i] - scale for i, parts in zip(idx, rows)
-                   for m in parts if m * nums[i] != scale]
+        shifted = [v for table, i in zip(tables, idx) for v in table[i][5]]
         case = boundary_scaled(shifted, scale)[0]
     return case
 
@@ -204,17 +195,14 @@ def _lift_case(rows: Sequence[Sequence[int]], tables: Sequence[list[tuple]],
 @lru_cache(maxsize=None)
 def _admissible_grid(n: int, max_numerator: int, max_denominator: int
                      ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    # Candidate base vectors, as index tuples into `_grid_values`, ordered by
+    # Candidate base vectors, as index tuples into the grid values, ordered by
     # (largest denominator, lexicographic) and pre-filtered to the admissible
     # ones; inadmissible bases never certify.  They are kept as runs
     # (prefix, lasts): the vectors prefix + (i,) for i in lasts, ascending,
     # so that flattening the runs lists the grid.  The vectors whose largest
     # denominator is q come out in order from the lexicographic product of
     # the values with denominator <= q.
-    values = _grid_values(max_numerator, max_denominator)
-    scale = _grid_scale(max_denominator)
-    nums = scaled_numerators(values, scale)
-    rows = [(1,)] * n
+    values, scale, nums = _grid(max_numerator, max_denominator)
     tables = [_row_table((1,), nums, scale)] * n
     runs = []
     for q in range(1, max_denominator + 1):
@@ -222,32 +210,28 @@ def _admissible_grid(n: int, max_numerator: int, max_denominator: int
         top = [i for i in pool if values[i].denominator == q]
         for prefix in itertools.product(pool, repeat=n - 1):
             tops = pool if any(values[i].denominator == q for i in prefix) else top
-            lasts = tuple(i for i in tops if _lift_case(
-                rows, tables, nums, prefix + (i,), scale) != CASE_NONE)
+            lasts = tuple(i for i in tops
+                          if _lift_case(tables, prefix + (i,), scale) != CASE_NONE)
             if lasts:
                 runs.append((prefix, lasts))
     return tuple(runs)
 
 
 def _family_candidates(datum: BranchDatum) -> list[tuple[Fraction, ...]]:
-    # Base vectors that certify the known infinite families, tried in every
-    # distinct entry order since lifting is row-order sensitive.
+    # Base vectors that certify the known infinite families.  Lifting is
+    # row-order sensitive, so a seed pair (a, b) gives a in each entry and b
+    # in the others, in ascending order: a moves right if a < b, left if not.
+    # A valid datum has two rows or more, so no vector comes twice.
     n = len(datum.rows)
-    d = datum.degree
     half = Fraction(1, 2)
-    seeds = [(half,) * n]
-    if n >= 2:
-        seeds.append((half,) + (Fraction(2, 3),) * (n - 1))
-    for r in range(2, d + 1):
-        if any(all(p % r == 0 for p in row.parts) for row in datum.rows):
-            seeds.append((Fraction(1),) + (Fraction(1, r),) * (n - 1))
-    out = []
-    seen = set()
-    for seed in seeds:
-        for perm in sorted(set(itertools.permutations(seed))):
-            if perm not in seen:
-                seen.add(perm)
-                out.append(perm)
+    gcds = [math.gcd(*row.parts) for row in datum.rows]
+    pairs = [(half, Fraction(2, 3))] + [(Fraction(1), Fraction(1, r))
+                                        for r in range(2, max(gcds) + 1)
+                                        if any(g % r == 0 for g in gcds)]
+    out = [(half,) * n]
+    for a, b in pairs:
+        for i in range(n) if a < b else range(n - 1, -1, -1):
+            out.append((b,) * i + (a,) + (b,) * (n - 1 - i))
     return out
 
 
@@ -260,20 +244,17 @@ def _grid_candidates(datum: BranchDatum, max_numerator: int, max_denominator: in
     # most half the grid's denominator.  So a lift whose summed row cost
     # exceeds that denominator has three or more non-unit entries and is case
     # A: it is skipped.  The rest are screened from per-row sums.
-    values = _grid_values(max_numerator, max_denominator)
-    scale = _grid_scale(max_denominator)
-    nums = scaled_numerators(values, scale)
-    rows = [row.parts for row in datum.rows]
-    tables = [_row_table(parts, nums, scale) for parts in rows]
+    values, scale, nums = _grid(max_numerator, max_denominator)
+    tables = [_row_table(row.parts, nums, scale) for row in datum.rows]
     costs = [[term[2] for term in table] for table in tables]
     last_cost = costs[-1]
-    for prefix, lasts in _admissible_grid(len(rows), max_numerator, max_denominator):
+    for prefix, lasts in _admissible_grid(len(tables), max_numerator, max_denominator):
         room = scale - sum(map(getitem, costs, prefix))
         for i in lasts:
             if last_cost[i] > room:
                 continue
             idx = prefix + (i,)
-            if _lift_case(rows, tables, nums, idx, scale) == CASE_NONE:
+            if _lift_case(tables, idx, scale) == CASE_NONE:
                 yield tuple(values[i] for i in idx)
 
 
@@ -351,10 +332,8 @@ def classify(datum: BranchDatum, max_numerator: int = 6, max_denominator: int = 
     oracle = find_witness(datum, budget=budget)
     t2 = time.perf_counter()
     if cert is not None and oracle.status == REALIZABLE:
-        raise RuntimeError(
-            f"soundness violation: {format_datum(datum)} is certified "
-            "exceptional yet realizable"
-        )
+        raise RuntimeError(f"soundness violation: {format_datum(datum)} is certified "
+                           "exceptional yet realizable")
     verdict = (VERDICT_REALIZABLE if oracle.status == REALIZABLE
                else VERDICT_CERTIFIED if cert is not None
                else VERDICT_ORACLE if oracle.status == UNREALIZABLE

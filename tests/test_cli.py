@@ -187,6 +187,27 @@ def test_realize_counts_past_the_budget(capsys):
     assert (blob["status"], blob["nodes"]) == ("unrealizable", 654729075)
 
 
+def test_integer_options_take_ascii_digits_only(capsys):
+    # every integer option reads ASCII digits after an optional '-', and
+    # names no refused value whole
+    options = [("realize", D4, "--budget"), ("catalog", "--max-degree"),
+               ("catalog", "--max-degree", "4", "--branch-points"),
+               ("catalog", "--max-degree", "4", "--budget"),
+               ("certify", D4, "--max-numerator"), ("certify", D4, "--max-denominator"),
+               ("enumerate", "--branch-points", "3", "--degree"),
+               ("enumerate", "--degree", "4", "--branch-points"), ("families", "--degree")]
+    for argv in options:
+        for value in ("1_000", "+5", " 5", "5 ", "١٠", "٣", "0x10", "", "9" * 5000):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, value])
+            assert exc.value.code == 2
+            # argparse prints its usage, then one error line
+            error = capsys.readouterr().err.splitlines()[-1]
+            assert error.startswith(f"conecover {argv[0]}: error: argument --")
+            assert len(error.encode()) < 300, (argv, value)
+    assert error.endswith("an integer of 5000 digits is too long")
+
+
 # --------------------------------------------------------------- enumerate
 
 
@@ -312,6 +333,18 @@ def test_families_bad_parameters(capsys):
     with pytest.raises(SystemExit) as exc:
         invoke(capsys, "families", "--family", "NOPE", "--params", "k=3")
     assert exc.value.code == 2
+
+    code, out, err = invoke(capsys, "families", "--family", "P3K", "--params", "k=3,k=5")
+    assert (code, out) == (2, "") and "error: parameter k is given twice" in err
+
+
+def test_families_out_of_memory(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.FAMILIES, "P3K", (exhausted, cli.FAMILIES["P3K"][1]))
+    assert invoke(capsys, "families", "--family", "P3K", "--params", "k=3") == (
+        2, "", "error: out of memory\n")
 
 
 def test_families_refuses_a_non_decimal_parameter(capsys):

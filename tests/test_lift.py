@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +29,7 @@ from conecover import (
 from conecover import lift as lift_mod
 from conecover.angles import scaled_numerators
 
-from oracles import reference_lift_decision, reference_search_certificate
+from oracles import reference_lift_decision, reference_search_certificate, reference_seeds
 
 D4 = parse_datum("4: 3,1 | 2,2 | 2,2")
 # construction order kept on purpose; parse_datum would sort the rows
@@ -194,6 +195,25 @@ def test_search_candidate_order(monkeypatch):
     assert verify_certificate(cert)
 
 
+def test_family_seeds_match_reference():
+    # the seed order is frozen: every 3-point datum up to degree 10 and
+    # every datum of 2-6 points up to degree 7
+    data = [datum for degree in range(2, 11) for datum in enumerate_data(degree, 3)]
+    data += [datum for n in (2, 4, 5, 6) for degree in range(2, 8)
+             for datum in enumerate_data(degree, n)]
+    for datum in data:
+        assert lift_mod._family_candidates(datum) == reference_seeds(datum)
+
+
+def test_family_seeds_of_many_rows_are_quick():
+    # ten rows: listing every distinct row order of a seed took minutes
+    datum = parse_datum("6: " + " | ".join(["2,1,1,1,1"] * 10))
+    start = time.perf_counter()
+    seeds = lift_mod._family_candidates(datum)
+    assert time.perf_counter() - start < 0.1
+    assert seeds == reference_seeds(datum) and len(seeds) == 11
+
+
 def test_screen_is_only_a_filter(monkeypatch):
     # with the integer screen passing every grid lift, the certificate rule
     # alone still picks the same first certificate and still finds none; the
@@ -208,7 +228,7 @@ def test_screen_is_only_a_filter(monkeypatch):
 
 def grid_vectors(n, max_numerator, max_denominator):
     # the grid's runs (prefix, lasts) flattened into its vectors, in order
-    values = lift_mod._grid_values(max_numerator, max_denominator)
+    values = lift_mod._grid(max_numerator, max_denominator)[0]
     runs = lift_mod._admissible_grid(n, max_numerator, max_denominator)
     return tuple(tuple(values[i] for i in prefix + (last,))
                  for prefix, lasts in runs for last in lasts)
@@ -245,7 +265,7 @@ def grid_lifts(draw):
     rows = tuple(draw(st.lists(st.sampled_from(partitions_of(degree)),
                                min_size=n, max_size=n)))
     scale = draw(st.sampled_from((60, math.lcm(*range(1, 13)))))
-    values = [v for v in lift_mod._grid_values(12, 12) if scale % v.denominator == 0]
+    values = [v for v in lift_mod._grid(12, 12)[0] if scale % v.denominator == 0]
     beta = tuple(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
     return rows, beta, scale
 
@@ -262,11 +282,11 @@ def test_row_screen_matches_full_decision(lift):
     tables = [lift_mod._row_table(parts, nums, scale) for parts in rows]
     idx = tuple(range(len(rows)))
     case, distance = reference_lift_decision(nums, rows, scale)
-    assert lift_mod._lift_case(rows, tables, nums, idx, scale) == case
+    assert lift_mod._lift_case(tables, idx, scale) == case
     # only lifts at distance exactly 1 fall through to boundary_scaled
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lift_mod, "boundary_scaled", lambda *args: (None,))
-        screened = lift_mod._lift_case(rows, tables, nums, idx, scale)
+        screened = lift_mod._lift_case(tables, idx, scale)
     assert (screened is None) == (distance == scale)
     if screened is not None:
         assert screened == case
