@@ -168,11 +168,7 @@ class ValidationReport:
 
 def total_defect(rows: Iterable) -> int:
     """Total ramification sum(part - 1) over every part of every row."""
-    total = 0
-    for row in rows:
-        parts = row.parts if isinstance(row, Partition) else tuple(row)
-        total += sum(p - 1 for p in parts)
-    return total
+    return sum(p - 1 for row in rows for p in row)
 
 
 def validate_datum(datum: BranchDatum) -> ValidationReport:

@@ -186,6 +186,8 @@ def _build_family(family_id: str, params: dict[str, int]):
 
 def cmd_families(args) -> int:
     if args.degree is not None:
+        if args.params is not None:
+            raise ValueError("--params goes only with --family")
         for instance in all_instances(args.degree):
             _emit(instance.to_json())
         return 0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import angles_to_json
-from .branch_data import BranchDatum, Partition
+from .branch_data import BranchDatum
 from .lift import ExceptionalityCertificate, certify_exceptional
 
 
@@ -47,21 +47,19 @@ class FamilyInstance:
         }
 
 
-def _row(*parts: int) -> Partition:
-    return Partition(tuple(parts))
+def _require_split(a: int, b: int, total: int, names: tuple[str, str, str]) -> None:
+    # The split a + b = total of one family, named as in its parameters.
+    if a + b != total or a == b or min(a, b) < 1:
+        x, y, t = names
+        raise ValueError(f"need {x} + {y} = {t} with {x} != {y} and both >= 1, got {a},{b}")
 
 
 def family_2k(k: int, k1: int, k2: int) -> FamilyInstance:
     """P2K_A: split double cover data of degree 2k."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if k1 + k2 != 2 * k or k1 == k2 or min(k1, k2) < 1:
-        raise ValueError(f"need k1 + k2 = 2k with k1 != k2 and both >= 1, got {k1},{k2}")
-    datum = BranchDatum(2 * k, (
-        _row(k1, k2),
-        _row(*([2] * k)),
-        _row(*([2] * k)),
-    ))
+    _require_split(k1, k2, 2 * k, ("k1", "k2", "2k"))
+    datum = BranchDatum(2 * k, ((k1, k2), [2] * k, [2] * k))
     half = Fraction(1, 2)
     return FamilyInstance("P2K_A", (("k", k), ("k1", k1), ("k2", k2)),
                           datum, (half, half, half))
@@ -71,13 +69,9 @@ def family_2k_twos(k: int, j1: int, j2: int) -> FamilyInstance:
     """P2K_B: degree 2k with the unequal rows made of twos and one big part."""
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
-    if j1 + j2 != k or j1 == j2 or min(j1, j2) < 1:
-        raise ValueError(f"need j1 + j2 = k with j1 != j2 and both >= 1, got {j1},{j2}")
-    datum = BranchDatum(2 * k, (
-        _row(*([2] * k)),
-        _row(*([2] * j1 + [2 * k - 2 * j1])),
-        _row(*([2] * j2 + [2 * k - 2 * j2])),
-    ))
+    _require_split(j1, j2, k, ("j1", "j2", "k"))
+    datum = BranchDatum(2 * k, ([2] * k, [2] * j1 + [2 * k - 2 * j1],
+                                [2] * j2 + [2 * k - 2 * j2]))
     half = Fraction(1, 2)
     return FamilyInstance("P2K_B", (("k", k), ("j1", j1), ("j2", j2)),
                           datum, (half, half, half))
@@ -87,11 +81,7 @@ def family_3k(k: int) -> FamilyInstance:
     """P3K: degree 3k for odd k >= 3, two rows of threes."""
     if k < 3 or k % 2 == 0:
         raise ValueError(f"need odd k >= 3, got {k}")
-    datum = BranchDatum(3 * k, (
-        _row(*([k - 2] + [2] * (k + 1))),
-        _row(*([3] * k)),
-        _row(*([3] * k)),
-    ))
+    datum = BranchDatum(3 * k, ([k - 2] + [2] * (k + 1), [3] * k, [3] * k))
     return FamilyInstance("P3K", (("k", k),),
                           datum, (Fraction(1, 2), Fraction(2, 3), Fraction(2, 3)))
 
@@ -100,11 +90,7 @@ def family_rk(r: int, k: int) -> FamilyInstance:
     """PRK_A: degree rk with two rows of r's and one deep part 2k-1."""
     if r < 2 or k < 2:
         raise ValueError(f"need r >= 2 and k >= 2, got r={r}, k={k}")
-    datum = BranchDatum(r * k, (
-        _row(*([2 * k - 1] + [1] * ((r - 2) * k + 1))),
-        _row(*([r] * k)),
-        _row(*([r] * k)),
-    ))
+    datum = BranchDatum(r * k, ([2 * k - 1] + [1] * ((r - 2) * k + 1), [r] * k, [r] * k))
     return FamilyInstance("PRK_A", (("r", r), ("k", k)),
                           datum, (Fraction(1), Fraction(1, r), Fraction(1, r)))
 
@@ -113,13 +99,8 @@ def family_rk_split(r: int, k: int, j1: int, j2: int) -> FamilyInstance:
     """PRK_B: like PRK_A but the deep row splits as j1 + j2 = 2k."""
     if r < 2 or k < 2:
         raise ValueError(f"need r >= 2 and k >= 2, got r={r}, k={k}")
-    if j1 + j2 != 2 * k or j1 == j2 or min(j1, j2) < 1:
-        raise ValueError(f"need j1 + j2 = 2k with j1 != j2 and both >= 1, got {j1},{j2}")
-    datum = BranchDatum(r * k, (
-        _row(*([j1, j2] + [1] * ((r - 2) * k))),
-        _row(*([r] * k)),
-        _row(*([r] * k)),
-    ))
+    _require_split(j1, j2, 2 * k, ("j1", "j2", "2k"))
+    datum = BranchDatum(r * k, ([j1, j2] + [1] * ((r - 2) * k), [r] * k, [r] * k))
     return FamilyInstance("PRK_B", (("r", r), ("k", k), ("j1", j1), ("j2", j2)),
                           datum, (Fraction(1), Fraction(1, r), Fraction(1, r)))
 
@@ -188,8 +169,6 @@ def all_instances(degree: int) -> list[FamilyInstance]:
         if degree % r != 0:
             continue
         k = degree // r
-        if k < 2:
-            continue
         out.append(family_rk(r, k))
         for j1 in range(1, k):
             out.append(family_rk_split(r, k, j1, 2 * k - j1))

@@ -32,7 +32,6 @@ exhaustion would give, even past the budget up to degree
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterator, Sequence
@@ -128,10 +127,18 @@ def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _parts_of(t, degree: int) -> tuple[int, ...]:
-    parts = t.parts if isinstance(t, Partition) else tuple(sorted(t, reverse=True))
+    parts = t.parts if isinstance(t, Partition) else Partition(tuple(t)).parts
     if sum(parts) != degree:
         raise ValueError(f"type {parts} does not partition {degree}")
     return parts
+
+
+def _cycle_counts(t, degree: int) -> list[int]:
+    # counts[k] is how many cycles of length k the type t has.
+    counts = [0] * (degree + 1)
+    for part in _parts_of(t, degree):
+        counts[part] += 1
+    return counts
 
 
 def canonical_of_type(t, degree: int) -> Permutation:
@@ -150,19 +157,20 @@ def canonical_of_type(t, degree: int) -> Permutation:
 def class_size(t, degree: int) -> int:
     """Order of the conjugacy class: d! / (prod parts * prod mult!)."""
     size = factorial(degree)
-    for length, mult in Counter(_parts_of(t, degree)).items():
+    for length, mult in enumerate(_cycle_counts(t, degree)):
         size //= length**mult * factorial(mult)
     return size
 
 
-def _class_images(parts: tuple[int, ...], degree: int, walk=None) -> Iterator:
+def _class_images(t, degree: int, walk=None) -> Iterator:
     # Each permutation of the type once, as one list rewritten in place: the
     # smallest unplaced element leads the next cycle, whose other entries
     # run over ordered selections of the unplaced elements.
-    counts = [parts.count(length) for length in range(degree + 1)]
+    counts = _cycle_counts(t, degree)
+    lengths = [length for length, mult in enumerate(counts) if mult]
     images = list(range(1, degree + 1))
-    return _place(counts, sorted(set(parts)), images, [False] * (degree + 1), degree,
-                  class_size(parts, degree), walk, 0, 0, 0)
+    return _place(counts, lengths, images, [False] * (degree + 1), degree,
+                  class_size(t, degree), walk, 0, 0, 0)
 
 
 def _place(counts: list[int], lengths: list[int], images: list[int], used: list[bool],
@@ -271,15 +279,15 @@ def _transitive_images(images: Sequence[tuple[int, ...]], degree: int) -> bool:
     return count == degree
 
 
-def _transitive_count(degree: int, rows: Sequence[tuple[int, ...]]) -> int:
+def _transitive_count(degree: int, rows: Sequence[Partition]) -> int:
     # Imported on first use: `counting` imports this module, and most
     # processes never count, so they need not load it.
     from .counting import TupleCounts
 
-    return TupleCounts().transitive(degree, rows)
+    return TupleCounts().transitive(degree, [row.parts for row in rows])
 
 
-def _fill(assign: list, positions: Sequence[int], rows: Sequence[tuple[int, ...]],
+def _fill(assign: list, positions: Sequence[int], rows: Sequence[Partition],
           d: int) -> Iterator[None]:
     # Yields once per filling of assign[positions] by members of their
     # classes, in class order with the last position running fastest.
@@ -314,9 +322,9 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     d = datum.degree
-    rows = [row.parts for row in datum.rows]
+    rows = datum.rows
     n = len(rows)
-    sizes = [class_size(row, d) for row in datum.rows]
+    sizes = [class_size(row, d) for row in rows]
 
     ranked = sorted(zip(sizes, range(n)))
     derived, pinned = ranked[-1][1], ranked[-2][1]
@@ -334,13 +342,11 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
     cut = order.index(enum_positions[-1]) + 1 if enum_positions else 0
     rotated = order[cut:] + order[:cut]
     head, last = rotated[:-1], rotated[-1]
-    need = [0] * (d + 1)
-    for part in rows[derived]:
-        need[part] += 1
+    need = _cycle_counts(rows[derived], d)
     identity = tuple(range(1, d + 1))
 
     assign: list = [None] * n
-    assign[pinned] = canonical_of_type(datum.rows[pinned], d).images
+    assign[pinned] = canonical_of_type(rows[pinned], d).images
 
     nodes = 0
     for _ in _fill(assign, enum_positions[:-1], rows, d):
@@ -351,7 +357,7 @@ def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> Ora
         index = [x - 1 for x in prefix]
         if enum_positions:
             back = [x - 1 for x in _inv(prefix)]
-            members = _class_images(rows[last], d, (index, back, need, rows[derived][0]))
+            members = _class_images(rows[last], d, (index, back, need, rows[derived].parts[0]))
         else:
             members = (assign[last],)
         for images in members:
@@ -389,11 +395,8 @@ def verify_witness(datum: BranchDatum, perms: Sequence[Permutation]) -> bool:
         return False
     index = list(range(d))
     for p, row in zip(perms, datum.rows):
-        need = [0] * (d + 1)
-        for part in row.parts:
-            need[part] += 1
         # p's cycles fit into the parts, so they are the parts when these sum to d.
-        if row.size != d or not _has_type(p.images, index, need):
+        if row.size != d or not _has_type(p.images, index, _cycle_counts(row, d)):
             return False
     product = tuple(range(1, d + 1))
     for p in perms:

@@ -337,6 +337,9 @@ def test_families_bad_parameters(capsys):
     code, out, err = invoke(capsys, "families", "--family", "P3K", "--params", "k=3,k=5")
     assert (code, out) == (2, "") and "error: parameter k is given twice" in err
 
+    code, out, err = invoke(capsys, "families", "--degree", "6", "--params", "k=3")
+    assert (code, out) == (2, "") and "error: --params goes only with --family" in err
+
 
 def test_families_out_of_memory(capsys, monkeypatch):
     def exhausted(*args):

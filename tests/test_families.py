@@ -63,13 +63,13 @@ def test_every_instance_validates_and_certifies():
 def test_constructor_parameter_guards():
     with pytest.raises(ValueError):
         family_2k(1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need k1 \+ k2 = 2k with k1 != k2 and both >= 1"):
         family_2k(2, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need k1 \+ k2 = 2k with k1 != k2 and both >= 1"):
         family_2k(2, 4, 0)
     with pytest.raises(ValueError):
         family_2k_twos(2, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need j1 \+ j2 = k with j1 != j2 and both >= 1"):
         family_2k_twos(4, 2, 2)
     with pytest.raises(ValueError):
         family_3k(1)
@@ -79,10 +79,14 @@ def test_constructor_parameter_guards():
         family_rk(1, 2)
     with pytest.raises(ValueError):
         family_rk(2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need j1 \+ j2 = 2k with j1 != j2 and both >= 1"):
         family_rk_split(2, 3, 3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need j1 \+ j2 = 2k with j1 != j2 and both >= 1"):
         family_rk_split(2, 3, 0, 6)
+    with pytest.raises(ValueError, match="need r >= 2 and k >= 2"):
+        family_rk_split(1, 2, 1, 3)
+    with pytest.raises(ValueError, match="need r >= 2 and k >= 2"):
+        family_rk_split(2, 1, 1, 1)
 
 
 def test_instance_json_shape():

@@ -101,6 +101,7 @@ def test_canonical_of_type():
     assert format_cycles(p) == "(1 2 3)(4 5)"
     assert cycle_lengths(p.images) == (3, 2)
     assert canonical_of_type((1, 1), 2) == Permutation((1, 2))
+    assert str(p) == format_cycles(p)
 
 
 # ------------------------------------------------------- conjugacy classes
@@ -145,6 +146,11 @@ def test_class_functions_reject_a_type_of_another_degree():
         class_size((3, 1), 5)
     with pytest.raises(ValueError, match="does not partition"):
         monodromy._class_images((3, 1), 5)
+    # Parts that sum to the degree but are not positive ints.
+    for t in ((4, -1), (3, 0), (2, 1.0)):
+        for function in (class_size, canonical_of_type, monodromy._class_images):
+            with pytest.raises((ValueError, TypeError)):
+                function(t, 3)
 
 
 # ------------------------------------------------------------------ oracle
