@@ -151,8 +151,11 @@ def all_instances(degree: int) -> list[FamilyInstance]:
     """Every family instance of the given degree, one per parameter choice.
 
     Splits are enumerated unordered (k1 > k2, j1 < j2) since swapping the
-    two halves reproduces the same datum.
+    two halves reproduces the same datum.  Raises ValueError for a degree
+    below 2, as `enumerate_data` does.
     """
+    if degree < 2:
+        raise ValueError(f"degree must be at least 2, got {degree}")
     out: list[FamilyInstance] = []
     if degree % 2 == 0 and degree >= 4:
         k = degree // 2

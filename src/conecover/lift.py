@@ -11,7 +11,9 @@ recheck with the admissibility decision alone.
 One rule, `certify_exceptional`, decides every candidate of the search
 and every certificate the verifier rechecks.  `search_certificate` streams
 family seeds, extra candidates, then a cached grid of small fractions kept
-as runs of index tuples that differ only in their last entry.  An integer
+as runs of index tuples that differ only in their last entry.  Every rule
+reads the entries without their order, so the build decides each multiset
+of grid values once and reuses it for every ordering.  An integer
 screen filters the grid from tables, per row and grid value, of the lifted
 non-unit entries and their `angles.screen_scaled` terms.  A lift whose
 summed rounding cost exceeds 1 is case A, so the walk sums each run's
@@ -201,17 +203,25 @@ def _admissible_grid(n: int, max_numerator: int, max_denominator: int
     # (prefix, lasts): the vectors prefix + (i,) for i in lasts, ascending,
     # so that flattening the runs lists the grid.  The vectors whose largest
     # denominator is q come out in order from the lexicographic product of
-    # the values with denominator <= q.
+    # the values with denominator <= q.  Every rule reads the entries
+    # without their order, so each multiset of indices is decided once, keyed
+    # by the sum of (n + 1) ** i over its indices: no index repeats more than
+    # n times, so no two multisets share a key.
     values, scale, nums = _grid(max_numerator, max_denominator)
     tables = [_row_table((1,), nums, scale)] * n
+    weights = [(n + 1) ** i for i in range(len(values))]
+    admissible = {sum(map(weights.__getitem__, idx)):
+                  _lift_case(tables, idx, scale) != CASE_NONE
+                  for idx in itertools.combinations_with_replacement(range(len(values)), n)}
     runs = []
     for q in range(1, max_denominator + 1):
         pool = [i for i, v in enumerate(values) if v.denominator <= q]
         top = [i for i in pool if values[i].denominator == q]
+        top_set = set(top)
         for prefix in itertools.product(pool, repeat=n - 1):
-            tops = pool if any(values[i].denominator == q for i in prefix) else top
-            lasts = tuple(i for i in tops
-                          if _lift_case(tables, prefix + (i,), scale) != CASE_NONE)
+            tops = top if top_set.isdisjoint(prefix) else pool
+            key = sum(map(weights.__getitem__, prefix))
+            lasts = tuple(i for i in tops if admissible[key + weights[i]])
             if lasts:
                 runs.append((prefix, lasts))
     return tuple(runs)

@@ -341,6 +341,13 @@ def test_families_bad_parameters(capsys):
     assert (code, out) == (2, "") and "error: --params goes only with --family" in err
 
 
+def test_families_refuses_a_degree_below_two(capsys):
+    for degree in ("1", "0", "-3"):
+        code, out, err = invoke(capsys, "families", "--degree", degree)
+        assert (code, out) == (2, "")
+        assert f"error: degree must be at least 2, got {degree}" in err
+
+
 def test_families_out_of_memory(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError

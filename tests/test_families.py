@@ -133,6 +133,12 @@ def test_all_instances_of_degree_six():
         seen.add(key)
 
 
+def test_all_instances_refuses_a_degree_below_two():
+    for degree in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"degree must be at least 2, got {degree}"):
+            all_instances(degree)
+
+
 def test_all_instances_certify_through_degree_twelve():
     for degree in range(2, 13):
         for inst in all_instances(degree):

@@ -239,6 +239,7 @@ def test_grid_order_is_frozen():
     for n, size, digest in (
         (2, 23, "c19148dd5106fa1fa6f748b334cdf66e112934512f268b67aeeb2ee755067252"),
         (3, 3360, "9efe5a23fa40841b071bc4bed60832bba37c4e9494e7c9e1b55d3e79bfb90186"),
+        (4, 150231, "f9a7539555ffb1bc3d59cf8025b9c7cf2ac1c252ff5aafc0fd44274018e8a07b"),
     ):
         grid = grid_vectors(n, 6, 6)
         assert len(grid) == size
@@ -246,14 +247,27 @@ def test_grid_order_is_frozen():
 
 
 @pytest.mark.parametrize("n, max_numerator, max_denominator",
-                         [(2, 12, 6), (2, 8, 10), (3, 4, 4)])
+                         [(2, 12, 6), (2, 8, 10), (3, 4, 4), (6, 2, 2)])
 def test_grid_matches_brute_force(n, max_numerator, max_denominator):
+    # (6, 2, 2) puts six rows over three values, where a multiset key in base
+    # len(values) + 1 would collide
     values = sorted({F(p, q) for p in range(1, max_numerator + 1)
                      for q in range(1, max_denominator + 1)})
     admissible = [vec for vec in itertools.product(values, repeat=n)
                   if decide_admissible(vec).admissible]
     admissible.sort(key=lambda vec: (max(v.denominator for v in vec), vec))
     assert grid_vectors(n, max_numerator, max_denominator) == tuple(admissible)
+
+
+def test_grid_decides_each_multiset_once(monkeypatch):
+    # the 23 values of the 6/6 grid make C(22 + n, n) multisets of n entries
+    calls = []
+    decide = lift_mod._lift_case
+    monkeypatch.setattr(lift_mod, "_lift_case", lambda *args: calls.append(1) or decide(*args))
+    for n, multisets in ((2, 276), (3, 2300), (4, 14950)):
+        calls.clear()
+        lift_mod._admissible_grid.__wrapped__(n, 6, 6)
+        assert len(calls) == multisets == math.comb(22 + n, n)
 
 
 @st.composite
