@@ -4,14 +4,13 @@ Angles are measured in turns: an entry of 1 is a smooth point (cone angle
 2*pi), 1/2 is a cone of angle pi, 3/2 a cone of angle 3*pi.  Outputs are
 exact `fractions.Fraction` values; inputs may also be ints or strings
 that `parse_fraction` reads, but floats are rejected outright.  The rules
-themselves run once, in `decide_scaled`, on `int` numerators over a
-common denominator, so every comparison is exact.
+themselves live in one function, `rules_scaled`, on `int` numerators
+over a common denominator, so every comparison is exact.
 `decide_admissible` and `l1_distance_to_odd_lattice` scale their input
-and wrap the answer.  The checks up to the odd-lattice distance live in
-`screen_scaled`, on terms that add over a concatenation of vectors, so
-the certificate search can screen a lifted vector from per-row sums;
-the rules at distance exactly 1 live in `boundary_scaled`, which the
-search calls directly once those sums have given the distance.
+and wrap the answer.  `rules_scaled` takes the rounding terms of
+`round_scaled` beside the entries; those terms add over a concatenation
+of vectors, so the certificate search sums them per row instead of
+rounding a lifted vector again.
 
 A vector of cone angles admits a spherical cone metric on the sphere
 exactly when, after discarding unit entries, one of these holds for the
@@ -295,77 +294,58 @@ _NO_COAXIAL = "mixed angles at distance 1 with no coaxial sign witness"
 _NON_INTEGRAL = "all angles non-integral at distance 1 and not an equal pair"
 
 
-def screen_scaled(count: int, shift: int, cost: int, parity: int, flip: int,
-                  scale: int) -> tuple:
-    """The rules up to the odd-lattice distance, in their fixed order.
+def rules_scaled(shifted: Sequence[int], cost: int, parity: int, flip: int,
+                 scale: int) -> tuple:
+    """Every admissibility rule, in the order of the module docstring.
 
-    The terms describe the non-unit entries of a vector over `scale`,
-    shifted by -scale: their number and sum, and the cost, parity and
-    flip of `round_scaled`.  The checks: nothing left, a single angle, a
-    non-positive Gauss-Bonnet margin, then the distance against 1.
-    Returns (case, why, distance), distance scaled and None when a check
-    before it decided; case is None at distance exactly 1, where
-    `boundary_scaled` decides.
+    `shifted` holds the non-unit entries of a vector over `scale`, each
+    shifted by -scale, and (cost, parity, flip) are their `round_scaled`
+    terms.  Returns (case, why, distance, coaxial): why, for case NONE, is
+    a reason template with the scaled value it formats; distance is
+    scaled, or None when a rule before it decided; coaxial is the case-D
+    witness.
     """
+    count = len(shifted)
     if count == 0:
-        return CASE_EMPTY, None, None
+        return CASE_EMPTY, None, None, None
     if count == 1:
-        return CASE_NONE, (_SINGLE, 0), None
+        return CASE_NONE, (_SINGLE, 0), None, None
+    shift = sum(shifted)
     margin = 2 * scale + shift
     if margin <= 0:
-        return CASE_NONE, (_MARGIN, margin), None
+        return CASE_NONE, (_MARGIN, margin), None, None
     distance = cost if parity else cost + flip
     if distance < scale:
-        return CASE_NONE, (_HOLONOMY, distance), distance
+        return CASE_NONE, (_HOLONOMY, distance), distance, None
     if distance > scale:
-        return CASE_A, None, distance
-    return None, None, distance
+        return CASE_A, None, distance, None
+    integral = sum(1 for v in shifted if v % scale == 0)
+    if count == 2 and shifted[0] == shifted[1] and not integral:
+        return CASE_B, None, distance, None
+    if integral == count:
+        if 2 * max(shifted) <= shift:
+            return CASE_C, None, distance, None
+        return CASE_NONE, (_INTEGRAL, 0), distance, None
+    if not integral:
+        return CASE_NONE, (_NON_INTEGRAL, 0), distance, None
+    witness = coaxial_check([Fraction(v + scale, scale) for v in shifted])
+    if witness is None:
+        return CASE_NONE, (_NO_COAXIAL, 0), distance, None
+    return CASE_D, None, distance, witness
 
 
 def decide_scaled(nums: Sequence[int], scale: int) -> tuple:
     """The admissibility rules on the angle vector `nums / scale`.
 
     Returns (case, lattice, coaxial, why): lattice is (distance * scale,
-    nearest), or None when a check before the distance decided; coaxial
-    is the case-D witness, and why, for case NONE, a reason template
-    with the scaled value it formats.  Units are stripped and the rest
-    rounded by `round_scaled`; one `screen_scaled` call runs the checks
-    up to the distance, and at distance exactly 1 `boundary_scaled`
-    applies the rules B, C and D of the module docstring.
+    nearest), or None when a rule before the distance decided; coaxial
+    and why are as `rules_scaled` gives them.  Units are stripped, the
+    rest rounded by `round_scaled` and decided by one `rules_scaled` call.
     """
     shifted = [v - scale for v in nums if v != scale]
     nearest, cost, parity, flip = round_scaled(shifted, scale)
-    case, why, distance = screen_scaled(len(shifted), sum(shifted), cost, parity, flip,
-                                        scale)
-    lattice = None if distance is None else (distance, nearest)
-    if case is not None:
-        return case, lattice, None, why
-    case, coaxial, why = boundary_scaled(shifted, scale)
-    return case, lattice, coaxial, why
-
-
-def boundary_scaled(shifted: Sequence[int], scale: int) -> tuple:
-    """The rules B, C and D at odd-lattice distance exactly 1.
-
-    `shifted` holds the non-unit entries of a vector over `scale`, each
-    shifted by -scale; there are at least two, their Gauss-Bonnet margin
-    is positive and their distance is exactly 1, as `screen_scaled`
-    establishes.  Returns (case, coaxial, why) as `decide_scaled` reports
-    them.
-    """
-    integral = sum(1 for v in shifted if v % scale == 0)
-    if len(shifted) == 2 and shifted[0] == shifted[1] and not integral:
-        return CASE_B, None, None
-    if integral == len(shifted):
-        if 2 * max(shifted) <= sum(shifted):
-            return CASE_C, None, None
-        return CASE_NONE, None, (_INTEGRAL, 0)
-    if integral:
-        witness = coaxial_check([Fraction(v + scale, scale) for v in shifted])
-        if witness is not None:
-            return CASE_D, witness, None
-        return CASE_NONE, None, (_NO_COAXIAL, 0)
-    return CASE_NONE, None, (_NON_INTEGRAL, 0)
+    case, why, distance, coaxial = rules_scaled(shifted, cost, parity, flip, scale)
+    return case, None if distance is None else (distance, nearest), coaxial, why
 
 
 def decide_admissible(beta: Iterable) -> AdmissibilityVerdict:

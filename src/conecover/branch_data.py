@@ -225,6 +225,12 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     return _partitions(n, n)
 
 
+def require_degree(degree: int) -> None:
+    """Raise ValueError unless the degree is at least 2."""
+    if degree < 2:
+        raise ValueError(f"degree must be at least 2, got {degree}")
+
+
 def enumerate_data(degree: int, branch_points: int) -> Iterator[BranchDatum]:
     """Yield every valid datum with the given degree and row count.
 
@@ -232,8 +238,7 @@ def enumerate_data(degree: int, branch_points: int) -> Iterator[BranchDatum]:
     out sorted lexicographically non-increasing, parts non-increasing
     within each row.  The stream itself is deterministic.
     """
-    if degree < 2:
-        raise ValueError(f"degree must be at least 2, got {degree}")
+    require_degree(degree)
     if branch_points < 1:
         raise ValueError(f"need at least one branch point, got {branch_points}")
     # Partitions are frozen, so equal rows of different data share one.

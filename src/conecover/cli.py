@@ -20,6 +20,7 @@ from .branch_data import (
     enumerate_data,
     parse_datum,
     read_decimal,
+    require_degree,
     require_int,
     validate_datum,
 )
@@ -93,6 +94,8 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.beta is not None and args.extra:
+        raise ValueError("--extra goes only with a search, not with --beta")
     datum = parse_datum(args.datum)
     if args.beta is None:
         extras = tuple(parse_angles(text) for text in args.extra)
@@ -132,6 +135,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    require_degree(args.max_degree)
     require_grid_bounds(args.max_numerator, args.max_denominator)
     budget = _budget(args.budget)
     summary: dict[int, Counter] = {}

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import angles_to_json
-from .branch_data import BranchDatum
+from .branch_data import BranchDatum, require_degree
 from .lift import ExceptionalityCertificate, certify_exceptional
 
 
@@ -154,8 +154,7 @@ def all_instances(degree: int) -> list[FamilyInstance]:
     two halves reproduces the same datum.  Raises ValueError for a degree
     below 2, as `enumerate_data` does.
     """
-    if degree < 2:
-        raise ValueError(f"degree must be at least 2, got {degree}")
+    require_degree(degree)
     out: list[FamilyInstance] = []
     if degree % 2 == 0 and degree >= 4:
         k = degree // 2

@@ -15,10 +15,11 @@ as runs of index tuples that differ only in their last entry.  Every rule
 reads the entries without their order, so the build decides each multiset
 of grid values once and reuses it for every ordering.  An integer
 screen filters the grid from tables, per row and grid value, of the lifted
-non-unit entries and their `angles.screen_scaled` terms.  A lift whose
+non-unit entries and their `angles.round_scaled` terms.  A lift whose
 summed rounding cost exceeds 1 is case A, so the walk sums each run's
-prefix once and skips it; the summed terms settle most of the rest, and
-only lifts at distance exactly 1 reach `angles.boundary_scaled`.
+prefix once and skips it.  Every other lift goes to `angles.rules_scaled`
+once, with the rows' summed terms and concatenated entries; about nine in
+ten of those reach the rules at distance exactly 1.
 `classify` joins the search to the monodromy oracle into one verdict.
 """
 
@@ -39,11 +40,10 @@ from .angles import (
     angles_from_json,
     angles_to_json,
     as_angles,
-    boundary_scaled,
     decide_admissible,
     round_scaled,
+    rules_scaled,
     scaled_numerators,
-    screen_scaled,
 )
 from .branch_data import BranchDatum, format_datum, require_valid
 from .monodromy import DEFAULT_BUDGET, REALIZABLE, UNREALIZABLE, OracleResult, find_witness
@@ -162,36 +162,31 @@ def require_grid_bounds(max_numerator: int, max_denominator: int) -> None:
 
 
 def _row_table(parts: Sequence[int], nums: Sequence[int], scale: int) -> list[tuple]:
-    # For each grid value nums[i] / scale, the `screen_scaled` terms of the
-    # non-unit entries m * nums[i] that a row with these parts lifts it to,
-    # then those entries themselves, shifted by -scale.
+    # For each grid value nums[i] / scale, the non-unit entries m * nums[i]
+    # that a row with these parts lifts it to, shifted by -scale, after
+    # their `round_scaled` cost, parity and flip.
     table = []
     for x in nums:
         shifted = tuple(m * x - scale for m in parts if m * x != scale)
-        _, cost, parity, flip = round_scaled(shifted, scale)
-        table.append((len(shifted), sum(shifted), cost, parity, flip, shifted))
+        table.append((*round_scaled(shifted, scale)[1:], shifted))
     return table
 
 
 def _lift_case(tables: Sequence[list[tuple]], idx: tuple[int, ...], scale: int) -> str:
     # The admissibility case of the lift, through the rows of the tables, of
-    # the grid vector whose entry r is grid value idx[r].  It is screened from
-    # the tables' sums; at distance 1 the boundary rules read their entries.
-    count = shift = cost = parity = 0
+    # the grid vector whose entry r is grid value idx[r].  The rows' costs
+    # and parities add, the flip is their least, and the entries concatenate.
+    cost = parity = 0
     flip = scale
+    shifted: list[int] = []
     for table, i in zip(tables, idx):
-        c, s, k, p, f, _ = table[i]
-        count += c
-        shift += s
+        k, p, f, entries = table[i]
         cost += k
         parity ^= p
         if f < flip:
             flip = f
-    case = screen_scaled(count, shift, cost, parity, flip, scale)[0]
-    if case is None:
-        shifted = [v for table, i in zip(tables, idx) for v in table[i][5]]
-        case = boundary_scaled(shifted, scale)[0]
-    return case
+        shifted += entries
+    return rules_scaled(shifted, cost, parity, flip, scale)[0]
 
 
 @lru_cache(maxsize=None)
@@ -253,10 +248,10 @@ def _grid_candidates(datum: BranchDatum, max_numerator: int, max_denominator: in
     # distance is at least the summed rounding cost, and an entry costs at
     # most half the grid's denominator.  So a lift whose summed row cost
     # exceeds that denominator has three or more non-unit entries and is case
-    # A: it is skipped.  The rest are screened from per-row sums.
+    # A: it is skipped.  The rest are decided by `_lift_case`.
     values, scale, nums = _grid(max_numerator, max_denominator)
     tables = [_row_table(row.parts, nums, scale) for row in datum.rows]
-    costs = [[term[2] for term in table] for table in tables]
+    costs = [[term[0] for term in table] for table in tables]
     last_cost = costs[-1]
     for prefix, lasts in _admissible_grid(len(tables), max_numerator, max_denominator):
         room = scale - sum(map(getitem, costs, prefix))

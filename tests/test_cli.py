@@ -119,6 +119,14 @@ def test_certify_search_modes(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_certify_refuses_extra_with_beta(capsys):
+    # --extra feeds the search, which --beta replaces; it used to be ignored
+    code, out, err = invoke(capsys, "certify", D4, "--beta", "1/2,1/2,1/2",
+                            "--extra", "1,1,1")
+    assert (code, out) == (2, "")
+    assert "error: --extra goes only with a search, not with --beta" in err
+
+
 @pytest.mark.parametrize("bounds", [
     ("--max-denominator", "0"),
     ("--max-denominator", "-3"),
@@ -283,6 +291,15 @@ def test_catalog_oracle_verdict(capsys, monkeypatch):
     assert last == {"summary": summary}
 
 
+def test_catalog_refuses_a_degree_below_two(capsys):
+    # it used to print an empty summary, or a bare table header, and exit 0
+    for degree in ("1", "0", "-3"):
+        for mode in ((), ("--table",)):
+            code, out, err = invoke(capsys, "catalog", "--max-degree", degree, *mode)
+            assert (code, out) == (2, "")
+            assert f"error: degree must be at least 2, got {degree}" in err
+
+
 def test_catalog_table(capsys):
     code, out, _ = invoke(capsys, "catalog", "--max-degree", "3", "--table")
     assert code == 0
@@ -399,6 +416,14 @@ def test_verify_witness_round_trip(capsys, tmp_path):
     path.write_text(json.dumps(blob))
     code, out, _ = invoke(capsys, "verify-witness", str(path))
     assert code == 1 and json.loads(out) == {"valid": False}
+
+
+def test_verify_witness_rejects_a_row_larger_than_the_degree(capsys, monkeypatch):
+    claim = {"datum": {"degree": 4, "rows": [[5], [2, 2], [2, 2]]},
+             "witness": {"degree": 4,
+                         "perms": ["(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(claim)))
+    assert invoke(capsys, "verify-witness", "-") == (1, '{"valid": false}\n', "")
 
 
 def test_verify_witness_accepts_datum_text(capsys, tmp_path):

@@ -287,23 +287,23 @@ def grid_lifts(draw):
 @settings(max_examples=400, deadline=None)
 @given(grid_lifts())
 @example((((2,), (2,)), (F(1, 2), F(1, 2)), 60))         # every lifted entry a unit
+@example((((2,), (1,)), (F(1, 2), F(1, 2)), 60))         # single angle: lift (1, 1/2)
+@example((((1, 1, 1), (1,)), (F(1, 6), F(1, 6)), 60))    # margin -4/3: four 1/6
+@example((((2,), (2,), (2,)), (F(1),) * 3, 60))          # holonomy: lift (2, 2, 2)
+@example((((1,), (1,), (1,)), (F(2, 3),) * 3, 60))       # A: distance 4/3
+@example((((2,), (2,)), (F(1, 3), F(1, 3)), 60))         # B: lift (2/3, 2/3)
 @example((((2,), (2,)), (F(1), F(1)), 60))               # C: lift (2, 2)
+@example((((2,), (4,)), (F(1), F(1)), 60))               # C refused: lift (2, 4)
 @example((((1, 1), (2,)), (F(1, 2), F(1)), 60))          # D: lift (1/2, 1/2, 2)
-@example((((3, 1), (2, 2), (2, 2)), (F(1, 2),) * 3, 60))  # NONE at distance 1
+@example((((1, 1), (2,)), (F(3, 2), F(1)), 60))          # D refused: (3/2, 3/2, 2)
+@example((((3, 1), (2, 2), (2, 2)), (F(1, 2),) * 3, 60))  # all non-integral at 1
 def test_row_screen_matches_full_decision(lift):
     rows, beta, scale = lift
     nums = scaled_numerators(beta, scale)
     tables = [lift_mod._row_table(parts, nums, scale) for parts in rows]
     idx = tuple(range(len(rows)))
-    case, distance = reference_lift_decision(nums, rows, scale)
+    case, _ = reference_lift_decision(nums, rows, scale)
     assert lift_mod._lift_case(tables, idx, scale) == case
-    # only lifts at distance exactly 1 fall through to boundary_scaled
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lift_mod, "boundary_scaled", lambda *args: (None,))
-        screened = lift_mod._lift_case(tables, idx, scale)
-    assert (screened is None) == (distance == scale)
-    if screened is not None:
-        assert screened == case
 
 
 def certificates_digest(degrees, n):
