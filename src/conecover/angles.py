@@ -5,12 +5,11 @@ Angles are measured in turns: an entry of 1 is a smooth point (cone angle
 exact `fractions.Fraction` values; inputs may also be ints or strings
 that `parse_fraction` reads, but floats are rejected outright.  The rules
 themselves live in one function, `rules_scaled`, on `int` numerators
-over a common denominator, so every comparison is exact.
-`decide_admissible` and `l1_distance_to_odd_lattice` scale their input
-and wrap the answer.  `rules_scaled` takes the rounding terms of
-`round_scaled` beside the entries; those terms add over a concatenation
-of vectors, so the certificate search sums them per row instead of
-rounding a lifted vector again.
+over a common denominator, so every comparison is exact.  It takes the
+rounding terms of `round_scaled` beside the entries and has two callers:
+`decide_admissible`, which scales, strips and rounds one vector, and the
+certificate search's screen, which sums the terms per row, since they add
+over a concatenation of vectors, instead of rounding a lifted vector.
 
 A vector of cone angles admits a spherical cone metric on the sphere
 exactly when, after discarding unit entries, one of these holds for the
@@ -334,31 +333,20 @@ def rules_scaled(shifted: Sequence[int], cost: int, parity: int, flip: int,
     return CASE_D, None, distance, witness
 
 
-def decide_scaled(nums: Sequence[int], scale: int) -> tuple:
-    """The admissibility rules on the angle vector `nums / scale`.
-
-    Returns (case, lattice, coaxial, why): lattice is (distance * scale,
-    nearest), or None when a rule before the distance decided; coaxial
-    and why are as `rules_scaled` gives them.  Units are stripped, the
-    rest rounded by `round_scaled` and decided by one `rules_scaled` call.
-    """
-    shifted = [v - scale for v in nums if v != scale]
-    nearest, cost, parity, flip = round_scaled(shifted, scale)
-    case, why, distance, coaxial = rules_scaled(shifted, cost, parity, flip, scale)
-    return case, None if distance is None else (distance, nearest), coaxial, why
-
-
 def decide_admissible(beta: Iterable) -> AdmissibilityVerdict:
     """Decide whether the angle vector admits a spherical cone metric.
 
-    Runs `decide_scaled` over the least common denominator and returns
-    its answer as a verdict with exact values.
+    Scales the vector by its least common denominator, strips the units,
+    rounds the rest with `round_scaled`, applies `rules_scaled` once and
+    returns its answer as a verdict with exact values.
     """
     vals = as_angles(beta)
     scale = math.lcm(*(v.denominator for v in vals))
-    case, lattice, coaxial, why = decide_scaled(scaled_numerators(vals, scale), scale)
-    if lattice is not None:
-        lattice = OddLatticeResult(Fraction(lattice[0], scale), tuple(lattice[1]))
+    shifted = [v - scale for v in scaled_numerators(vals, scale) if v != scale]
+    nearest, cost, parity, flip = round_scaled(shifted, scale)
+    case, why, distance, coaxial = rules_scaled(shifted, cost, parity, flip, scale)
+    lattice = None if distance is None else OddLatticeResult(Fraction(distance, scale),
+                                                             tuple(nearest))
     reason = None if why is None else why[0].format(Fraction(why[1], scale))
     return AdmissibilityVerdict(case != CASE_NONE, case, lattice, coaxial, reason)
 

@@ -94,12 +94,17 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.beta is not None and args.extra:
-        raise ValueError("--extra goes only with a search, not with --beta")
+    # The grid bounds left unset fall back to search_certificate's defaults.
+    bounds = {name: value for name, value in (("max_numerator", args.max_numerator),
+                                              ("max_denominator", args.max_denominator))
+              if value is not None}
+    if args.beta is not None and (args.extra or bounds):
+        flag = "--extra" if args.extra else "--" + next(iter(bounds)).replace("_", "-")
+        raise ValueError(f"{flag} goes only with a search, not with --beta")
     datum = parse_datum(args.datum)
     if args.beta is None:
         extras = tuple(parse_angles(text) for text in args.extra)
-        cert = search_certificate(datum, args.max_numerator, args.max_denominator, extras)
+        cert = search_certificate(datum, extra_candidates=extras, **bounds)
         if cert is None:
             _emit({"certified": False, "reason": "no witness found"})
             return 1
@@ -242,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", help="try exactly this base vector instead of searching")
     p.add_argument("--extra", action="append", default=[], metavar="ANGLES",
                    help="extra search candidates, tried before the grid")
-    p.add_argument("--max-numerator", type=_integer, default=6)
-    p.add_argument("--max-denominator", type=_integer, default=6)
+    p.add_argument("--max-numerator", type=_integer, help="grid bound, searches only")
+    p.add_argument("--max-denominator", type=_integer, help="grid bound, searches only")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("realize", help="search for a monodromy witness")

@@ -8,18 +8,16 @@ no cover with that datum can exist.  The pair (admissible base vector,
 inadmissible lift) is a self-contained certificate that anyone can
 recheck with the admissibility decision alone.
 
-One rule, `certify_exceptional`, decides every candidate of the search
-and every certificate the verifier rechecks.  `search_certificate` streams
-family seeds, extra candidates, then a cached grid of small fractions kept
-as runs of index tuples that differ only in their last entry.  Every rule
-reads the entries without their order, so the build decides each multiset
-of grid values once and reuses it for every ordering.  An integer
-screen filters the grid from tables, per row and grid value, of the lifted
-non-unit entries and their `angles.round_scaled` terms.  A lift whose
-summed rounding cost exceeds 1 is case A, so the walk sums each run's
-prefix once and skips it.  Every other lift goes to `angles.rules_scaled`
-once, with the rows' summed terms and concatenated entries; about nine in
-ten of those reach the rules at distance exactly 1.
+One rule, `certify_exceptional`, decides every candidate of the search,
+and the verifier accepts a certificate only when that rule, rerun, gives
+it back unchanged.  `search_certificate` streams family seeds, extra
+candidates, then a cached grid of small fractions kept as runs of index
+tuples that differ only in their last entry; no rule reads the order, so
+each multiset of grid values is decided once.  An integer screen, from
+tables per row and grid value of the lifted non-unit entries and their
+`angles.round_scaled` terms, only drops grid lifts it proves admissible:
+a summed rounding cost above 1 means case A, and every other lift goes
+once to `angles.rules_scaled`, which `decide_admissible` also calls.
 `classify` joins the search to the monodromy oracle into one verdict.
 """
 
@@ -133,14 +131,15 @@ def certify_exceptional(datum: BranchDatum, beta: Iterable) -> ExceptionalityCer
 
 
 def verify_certificate(cert: ExceptionalityCertificate) -> bool:
-    """Recheck a certificate from scratch, trusting none of its verdicts."""
+    """Recheck a certificate from scratch, trusting none of its verdicts.
+
+    True exactly when `certify_exceptional` on the stored datum and base
+    vector returns this certificate: the lift and both whole verdicts.
+    """
     try:
-        fresh = certify_exceptional(cert.datum, cert.witness_beta)
+        return certify_exceptional(cert.datum, cert.witness_beta) == cert
     except (CertificationRefused, ValueError):
         return False
-    # The stored lift and verdicts must claim what we just recomputed.
-    return (fresh.lifted == tuple(cert.lifted) and cert.base_verdict.admissible
-            and not cert.lifted_verdict.admissible)
 
 
 @lru_cache(maxsize=None)
@@ -275,12 +274,13 @@ def search_certificate(
     half with two-thirds; 1 with 1/r for each r >= 2 dividing every part
     of some row), then `extra_candidates`, then every vector with entries
     p/q, p <= max_numerator, q <= max_denominator, ordered by largest
-    denominator and then lexicographically.  The first candidate that
-    `certify_exceptional` accepts is returned, so identical inputs give
-    identical output.  Grid vectors whose lift the integer screen finds
-    admissible are passed over undecided; that changes neither the order
-    nor the answer.  Raises ValueError when the datum is not valid, a grid
-    bound is below 1, or a reached extra candidate is malformed.
+    denominator and then lexicographically.  Each candidate goes straight
+    to `certify_exceptional` and the first it accepts is returned, so
+    identical inputs give identical output.  Grid vectors whose lift the
+    integer screen proves admissible are passed over undecided; that
+    changes neither the order nor the answer.  Raises ValueError when the
+    datum is not valid, a grid bound is below 1, or a reached extra
+    candidate is malformed.
     """
     require_grid_bounds(max_numerator, max_denominator)
     require_valid(datum)
@@ -290,12 +290,10 @@ def search_certificate(
         _grid_candidates(datum, max_numerator, max_denominator),
     )
     for vals in candidates:
-        # Deciding the lift first passes over most candidates in one step.
-        if not decide_admissible(lift_angles(vals, datum)).admissible:
-            try:
-                return certify_exceptional(datum, vals)
-            except CertificationRefused:
-                pass
+        try:
+            return certify_exceptional(datum, vals)
+        except CertificationRefused:
+            pass
     return None
 
 

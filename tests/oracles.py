@@ -27,7 +27,7 @@ from conecover import (
     decide_admissible,
     validate_datum,
 )
-from conecover.angles import as_angles, decide_scaled
+from conecover.angles import as_angles
 from conecover.branch_data import require_valid
 from conecover.monodromy import (
     _COUNT_MAX_DEGREE,
@@ -180,15 +180,13 @@ def reference_parse_text(text):
 
 
 def reference_lift_decision(nums, rows, scale):
-    """`decide_scaled` of the whole lift of `nums / scale` through `rows`.
+    """The `reference_admissible` case of the lift of `nums / scale` through `rows`.
 
-    Row i takes the value nums[i]; every part m of it contributes the
-    lifted numerator m * nums[i].  Returns (case, distance): the scaled
-    odd-lattice distance, or None where the rules stopped before it.
+    Row i takes the value nums[i] / scale; every part m of it contributes
+    the lifted angle m * nums[i] / scale, as a Fraction.
     """
-    lifted = [m * x for x, parts in zip(nums, rows) for m in parts]
-    case, lattice, _, _ = decide_scaled(lifted, scale)
-    return case, None if lattice is None else lattice[0]
+    lifted = [Fraction(m * x, scale) for x, parts in zip(nums, rows) for m in parts]
+    return reference_admissible(lifted)[1]
 
 
 def reference_seeds(datum):

@@ -31,8 +31,9 @@ from conecover.angles import (
     angles_from_json,
     angles_to_json,
     as_angles,
-    decide_scaled,
     parse_fraction,
+    round_scaled,
+    rules_scaled,
     scaled_numerators,
 )
 
@@ -131,23 +132,27 @@ def test_decide_matches_reference(beta):
 
 
 def check_scaled(beta, scale):
-    """decide_scaled over `scale` against decide_admissible and the reference.
+    """rules_scaled over `scale` against decide_admissible and the reference.
 
-    Returns the verdict, or None where the odd-lattice distance is exactly
-    1 and the boundary cases B, C and D decide.
+    The non-unit entries over `scale`, shifted by -scale, are rounded by
+    round_scaled and decided by rules_scaled.  Returns the verdict, or None
+    where the odd-lattice distance is exactly 1 and the boundary cases B, C
+    and D decide.
     """
     verdict = decide_admissible(beta)
     assert (verdict.admissible, verdict.case) == reference_admissible(beta)
-    case, lattice, coaxial, why = decide_scaled(scaled_numerators(beta, scale), scale)
+    shifted = [v - scale for v in scaled_numerators(beta, scale) if v != scale]
+    nearest, cost, parity, flip = round_scaled(shifted, scale)
+    case, why, distance, coaxial = rules_scaled(shifted, cost, parity, flip, scale)
     assert case == verdict.case
     assert coaxial == verdict.coaxial
     assert (None if why is None else why[0].format(F(why[1], scale))) == verdict.reason
-    if lattice is None:
+    if distance is None:
         assert verdict.lattice is None
         return verdict.admissible
-    assert F(lattice[0], scale) == verdict.lattice.distance
-    assert tuple(lattice[1]) == verdict.lattice.nearest
-    return None if lattice[0] == scale else verdict.admissible
+    assert F(distance, scale) == verdict.lattice.distance
+    assert tuple(nearest) == verdict.lattice.nearest
+    return None if distance == scale else verdict.admissible
 
 
 @pytest.mark.parametrize("beta, expected", [

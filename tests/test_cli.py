@@ -127,6 +127,14 @@ def test_certify_refuses_extra_with_beta(capsys):
     assert "error: --extra goes only with a search, not with --beta" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--max-denominator", "0"), ("--max-numerator", "6")])
+def test_certify_refuses_grid_bounds_with_beta(capsys, flag, value):
+    # the grid bounds feed the search too; with --beta they used to be ignored
+    code, out, err = invoke(capsys, "certify", D4, "--beta", "1,1/2,1/2", flag, value)
+    assert (code, out) == (2, "")
+    assert f"error: {flag} goes only with a search, not with --beta" in err
+
+
 @pytest.mark.parametrize("bounds", [
     ("--max-denominator", "0"),
     ("--max-denominator", "-3"),
@@ -402,6 +410,17 @@ def test_verify_certificate_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code, out, _ = invoke(capsys, "verify-certificate", "-")
     assert code == 0 and json.loads(out) == {"valid": True}
+
+
+def test_verify_certificate_rejects_a_false_distance(capsys, monkeypatch):
+    # the base vector (1/2, 1/2, 1/2) is at distance 3/2: a certificate that
+    # claims 5/2 is false, though its lift and admissible flags are right
+    _, out, _ = invoke(capsys, "certify", D4)
+    assert out.count('"distance": "3/2"') == 1
+    forged = out.replace('"distance": "3/2"', '"distance": "5/2"')
+    monkeypatch.setattr("sys.stdin", io.StringIO(forged))
+    code, out, _ = invoke(capsys, "verify-certificate", "-")
+    assert (code, out) == (1, '{"valid": false}\n')
 
 
 def test_verify_witness_round_trip(capsys, tmp_path):

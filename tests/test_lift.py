@@ -145,6 +145,24 @@ def test_verify_rejects_tampering():
     lift_claims_yes = dataclasses.replace(cert, lifted_verdict=admissible)
     assert not verify_certificate(lift_claims_yes)
 
+    # only the evidence is false, with the admissible flags kept true
+    halves = certify_exceptional(D4, (F(1, 2),) * 3)
+    assert verify_certificate(halves)
+    base, lifted = halves.base_verdict, halves.lifted_verdict
+    assert (base.case, base.lattice.distance) == ("A", F(3, 2))
+    assert lifted.lattice.nearest == (0, -1)
+    replace = dataclasses.replace
+    for forged in (
+        replace(base, lattice=replace(base.lattice, distance=F(5, 2))),
+        replace(base, case="B"),
+    ):
+        assert not verify_certificate(replace(halves, base_verdict=forged))
+    for forged in (
+        replace(lifted, lattice=replace(lifted.lattice, nearest=(0, 1))),
+        replace(lifted, reason="a single non-unit cone angle admits no metric"),
+    ):
+        assert not verify_certificate(replace(halves, lifted_verdict=forged))
+
 
 def test_search_frozen_results():
     cert = search_certificate(D4)
@@ -187,6 +205,14 @@ def test_search_candidate_order(monkeypatch):
     # with the family stage emptied, extras are tried before the grid
     monkeypatch.setattr(lift_mod, "_family_candidates", lambda datum: [])
     cert = search_certificate(D4, extra_candidates=[(1, "1/2", "1/2")])
+    assert cert.witness_beta == (1, F(1, 2), F(1, 2))
+
+    # refused extras are passed over either way: (1/6, 1/6, 1/6) has base
+    # margin -1/2, and (1, 1, 1) is EMPTY but lifts to (3, 1, 2, 2, 2, 2), case C
+    assert decide_admissible((F(1, 6),) * 3).reason == "Gauss-Bonnet margin -1/2 is not positive"
+    assert decide_admissible(lift_angles((1, 1, 1), D4)).case == "C"
+    extras = [(F(1, 6),) * 3, (1, 1, 1), (1, F(1, 2), F(1, 2))]
+    cert = search_certificate(D4, extra_candidates=extras)
     assert cert.witness_beta == (1, F(1, 2), F(1, 2))
 
     # and with no extras either, the grid still finds a witness
@@ -302,7 +328,7 @@ def test_row_screen_matches_full_decision(lift):
     nums = scaled_numerators(beta, scale)
     tables = [lift_mod._row_table(parts, nums, scale) for parts in rows]
     idx = tuple(range(len(rows)))
-    case, _ = reference_lift_decision(nums, rows, scale)
+    case = reference_lift_decision(nums, rows, scale)
     assert lift_mod._lift_case(tables, idx, scale) == case
 
 
