@@ -10,6 +10,10 @@ rounding terms of `round_scaled` beside the entries and has two callers:
 `decide_admissible`, which scales, strips and rounds one vector, and the
 certificate search's screen, which sums the terms per row, since they add
 over a concatenation of vectors, instead of rounding a lifted vector.
+Case D's sign search, `coaxial_scaled`, reads the same scaled ints and
+makes a Fraction only of each non-integral entry.  Its 2^m sign loop sums
+those Fractions exactly; an integer loop waits until the benchmark's
+memory no longer grows with its op count (ROADMAP item 1).
 
 A vector of cone angles admits a spherical cone metric on the sphere
 exactly when, after discarding unit entries, one of these holds for the
@@ -79,7 +83,7 @@ def as_angles(values: Iterable) -> tuple[Fraction, ...]:
     """Coerce to a tuple of positive Fractions, rejecting floats."""
     vals = _as_rationals(values)
     for v in vals:
-        if v <= 0:
+        if v.numerator <= 0:  # a Fraction's denominator is positive
             raise AngleParseError(f"cone angles must be positive, got {v}")
     return vals
 
@@ -241,21 +245,32 @@ def round_scaled(x: Sequence[int], scale: int) -> tuple[list[int], int, int, int
 
 
 def coaxial_check(beta: Sequence[Fraction]) -> CoaxialWitness | None:
+    """Validate and scale `beta`, then search as `coaxial_scaled` does."""
+    vals = as_angles(beta)
+    scale = math.lcm(*(v.denominator for v in vals))
+    return coaxial_scaled([v - scale for v in scaled_numerators(vals, scale)], scale)
+
+
+def coaxial_scaled(shifted: Sequence[int], scale: int) -> CoaxialWitness | None:
     """Search sign assignments for the case-D coaxial conditions.
 
-    Expects a unit-free vector mixing integral and non-integral entries
-    whose shifted distance to the odd lattice is 1 (the caller checks the
-    distance).  Signs are tried with +1 before -1 in lexicographic order,
-    so the first witness found is deterministic.
+    `shifted` is a vector over `scale`, shifted by -scale, mixing integral
+    and non-integral entries at distance 1 to the odd lattice (the caller
+    checks the distance).  Signs are tried with +1 before -1 in
+    lexicographic order, so the first witness found is deterministic.
     """
-    vals = as_angles(beta)
-    nonint = [b for b in vals if b.denominator != 1]
-    ints = [b for b in vals if b.denominator == 1]
+    nonint, ints = [], []
+    for v in shifted:
+        q, r = divmod(v, scale)
+        if r:
+            nonint.append(Fraction(v + scale, scale))
+        else:
+            ints.append(q + 1)
     if not nonint or not ints:
         raise ValueError("need both integral and non-integral entries")
-    n = len(vals)
-    int_sum = sum(b.numerator for b in ints)
-    int_max = max(b.numerator for b in ints)
+    n = len(shifted)
+    int_sum = sum(ints)
+    int_max = max(ints)
     # The rational gcd eta of the non-integral entries and k'+k'' ones is
     # g / lcd: lcd the lcm of the denominators, g the gcd of the numerators,
     # or 1 once a one is present.  b holds each entry times lcd / g.
@@ -327,7 +342,7 @@ def rules_scaled(shifted: Sequence[int], cost: int, parity: int, flip: int,
         return CASE_NONE, (_INTEGRAL, 0), distance, None
     if not integral:
         return CASE_NONE, (_NON_INTEGRAL, 0), distance, None
-    witness = coaxial_check([Fraction(v + scale, scale) for v in shifted])
+    witness = coaxial_scaled(shifted, scale)
     if witness is None:
         return CASE_NONE, (_NO_COAXIAL, 0), distance, None
     return CASE_D, None, distance, witness

@@ -23,7 +23,6 @@ from conecover import (
     CoaxialWitness,
     ExceptionalityCertificate,
     Permutation,
-    coaxial_check,
     decide_admissible,
     validate_datum,
 )
@@ -107,7 +106,7 @@ def reference_admissible(beta):
     """(admissible, case) by the rules as the `angles` docstring states them.
 
     Fraction arithmetic throughout, the distance from `odd_box_distance`,
-    and `coaxial_check` for the case-D sign search.
+    and `reference_coaxial` for the case-D sign search.
     """
     stripped = [Fraction(b) for b in beta if Fraction(b) != 1]
     if not stripped:
@@ -124,7 +123,7 @@ def reference_admissible(beta):
         if 2 * (max(stripped) - 1) <= sum(b - 1 for b in stripped):
             return True, CASE_C
         return False, CASE_NONE
-    if integral and coaxial_check(stripped) is not None:
+    if integral and reference_coaxial(stripped) is not None:
         return True, CASE_D
     return False, CASE_NONE
 

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conecover import (
     CASE_A,
@@ -248,6 +248,51 @@ def test_coaxial_matches_reference(nonint, ints):
     # rational_gcd over the entries and k'+k'' ones
     beta = nonint + [F(v) for v in ints]
     assert coaxial_check(beta) == reference_coaxial(beta)
+
+
+@st.composite
+def mixed_distance_one(draw):
+    """A vector at odd-lattice distance 1 whose non-unit entries mix
+    integers and non-integers, with unit entries shuffled in.
+
+    Shifted by -1, each non-integral entry lies within 1/2 of an integer
+    and these offsets add to 1, around an integer point of odd sum.
+    """
+    q = draw(st.integers(min_value=2, max_value=12))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=q - 1),
+                               min_size=1, max_size=min(q - 1, 5))))
+    offsets = [F(b - a, q) for a, b in zip([0] + cuts, cuts + [q])]
+    assume(max(offsets) <= F(1, 2))
+    points = draw(st.lists(st.integers(min_value=0, max_value=3),
+                           min_size=len(offsets), max_size=len(offsets)))
+    ints = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3))
+    ints[0] += (sum(points) + sum(ints) + 1) % 2
+    signs = draw(st.lists(st.sampled_from((1, -1)),
+                          min_size=len(offsets), max_size=len(offsets)))
+    nonint = [z + 1 + s * d for z, s, d in zip(points, signs, offsets)]
+    units = [F(1)] * draw(st.integers(min_value=0, max_value=3))
+    return draw(st.permutations(nonint + [F(z + 1) for z in ints] + units))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_distance_one())
+@example([F(1, 2), 1, F(1, 2), 2])          # D, with a unit between
+@example([F(3, 2), F(3, 2), 2, 1])          # no sign witness
+def test_decide_coaxial_matches_reference(beta):
+    verdict = decide_admissible(beta)
+    assert verdict.lattice.distance == 1
+    assert verdict.case in (CASE_D, CASE_NONE)
+    assert verdict.coaxial == reference_coaxial(strip_units(beta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_distance_one(), st.integers(min_value=1, max_value=12))
+@example([F(1, 2), F(1, 2), 2], 30)         # the default grid's scale, 60
+@example([F(2, 3), 1, F(1, 3), 2], 20)       # D over 60, eta 1/3
+def test_coaxial_witness_ignores_the_scale(beta, factor):
+    # the grid walk decides lifts over 60, a multiple of their least
+    # denominator; eta and b must come out reduced all the same
+    check_scaled(beta, math.lcm(*(F(b).denominator for b in beta)) * factor)
 
 
 # ----------------------------------------------------------------- decide
