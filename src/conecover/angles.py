@@ -5,11 +5,11 @@ Angles are measured in turns: an entry of 1 is a smooth point (cone angle
 exact `fractions.Fraction` values; inputs may also be ints or strings
 that `parse_fraction` reads, but floats are rejected outright.  The rules
 themselves live in one function, `rules_scaled`, on `int` numerators
-over a common denominator, so every comparison is exact.  It takes the
-rounding terms of `round_scaled` beside the entries and has two callers:
-`decide_admissible`, which scales, strips and rounds one vector, and the
-certificate search's screen, which sums the terms per row, since they add
-over a concatenation of vectors, instead of rounding a lifted vector.
+over a common denominator, so every comparison is exact.  It takes rows
+of entries, each after its `round_scaled` terms, and joins them.  Its two
+callers are `decide_admissible`, which passes one rounded vector as one
+row, and the certificate search's grid, which passes one precomputed row
+per branch point instead of rounding a lifted vector.
 Case D's sign search, `coaxial_scaled`, reads the same scaled ints and
 makes a Fraction only of each non-integral entry.  Its 2^m sign loop sums
 those Fractions exactly; an integer loop waits until the benchmark's
@@ -219,8 +219,6 @@ def round_scaled(x: Sequence[int], scale: int) -> tuple[list[int], int, int, int
     cost sums these and parity is sum(q) mod 2.  flip, scale - 2 * cost_i
     at its least (`scale` for an empty x), is the cheapest change of that
     parity; when it is even, nearest makes it at the lowest such index.
-    Over a concatenation of vectors cost and parity add, flip takes the
-    minimum.
     """
     nearest = []
     total = 0
@@ -308,17 +306,26 @@ _NO_COAXIAL = "mixed angles at distance 1 with no coaxial sign witness"
 _NON_INTEGRAL = "all angles non-integral at distance 1 and not an equal pair"
 
 
-def rules_scaled(shifted: Sequence[int], cost: int, parity: int, flip: int,
-                 scale: int) -> tuple:
+def rules_scaled(rows: Iterable[tuple], scale: int) -> tuple:
     """Every admissibility rule, in the order of the module docstring.
 
-    `shifted` holds the non-unit entries of a vector over `scale`, each
-    shifted by -scale, and (cost, parity, flip) are their `round_scaled`
-    terms.  Returns (case, why, distance, coaxial): why, for case NONE, is
-    a reason template with the scaled value it formats; distance is
-    scaled, or None when a rule before it decided; coaxial is the case-D
-    witness.
+    Each row is (cost, parity, flip, shifted): non-unit entries over
+    `scale`, each shifted by -scale, after their `round_scaled` terms.  The
+    rows join into one vector whose terms are the costs summed, the
+    parities summed mod 2 and the least flip.  Returns (case, why,
+    distance, coaxial): why, for case NONE, is a reason template with the
+    scaled value it formats; distance is scaled, or None when a rule
+    before it decided; coaxial is the case-D witness.
     """
+    cost = parity = 0
+    flip = scale
+    shifted: list[int] = []
+    for k, p, f, entries in rows:
+        cost += k
+        parity ^= p
+        if f < flip:
+            flip = f
+        shifted += entries
     count = len(shifted)
     if count == 0:
         return CASE_EMPTY, None, None, None
@@ -352,14 +359,14 @@ def decide_admissible(beta: Iterable) -> AdmissibilityVerdict:
     """Decide whether the angle vector admits a spherical cone metric.
 
     Scales the vector by its least common denominator, strips the units,
-    rounds the rest with `round_scaled`, applies `rules_scaled` once and
-    returns its answer as a verdict with exact values.
+    rounds the rest with `round_scaled`, passes them to `rules_scaled` as
+    one row and returns its answer as a verdict with exact values.
     """
     vals = as_angles(beta)
     scale = math.lcm(*(v.denominator for v in vals))
     shifted = [v - scale for v in scaled_numerators(vals, scale) if v != scale]
     nearest, cost, parity, flip = round_scaled(shifted, scale)
-    case, why, distance, coaxial = rules_scaled(shifted, cost, parity, flip, scale)
+    case, why, distance, coaxial = rules_scaled([(cost, parity, flip, shifted)], scale)
     lattice = None if distance is None else OddLatticeResult(Fraction(distance, scale),
                                                              tuple(nearest))
     reason = None if why is None else why[0].format(Fraction(why[1], scale))

@@ -206,23 +206,26 @@ def require_valid(datum: BranchDatum) -> None:
         raise ValueError(f"datum fails validation: {problems}")
 
 
+def _partitions(total: int, max_part: int, fewest: int, most: int
+                ) -> Iterator[tuple[int, ...]]:
+    # Partitions of total into fewest..most parts of at most max_part, reverse-lex.
+    # Each first part tried leaves a rest that fits; a rest of ones comes whole.
+    if total == 0 or max_part == 1:
+        yield (1,) * total
+        return
+    if most < 1:
+        return
+    for first in range(min(max_part, total, total - fewest + 1), -(-total // most) - 1, -1):
+        for rest in _partitions(total - first, first, fewest - 1, most - 1):
+            yield (first,) + rest
+
+
 @lru_cache(maxsize=None)
-def _partitions(total: int, max_part: int) -> tuple[tuple[int, ...], ...]:
-    # Reverse-lexicographic enumeration, memoized per (sum, max part).
-    if total == 0:
-        return ((),)
-    out = []
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n as non-increasing tuples, reverse-lex order."""
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
-    return _partitions(n, n)
+    return tuple(_partitions(n, n, 1, n))
 
 
 def require_degree(degree: int) -> None:
@@ -241,8 +244,12 @@ def enumerate_data(degree: int, branch_points: int) -> Iterator[BranchDatum]:
     require_degree(degree)
     if branch_points < 1:
         raise ValueError(f"need at least one branch point, got {branch_points}")
-    # Partitions are frozen, so equal rows of different data share one.
-    pool = [Partition(p) for p in partitions_of(degree) if p[0] >= 2]
+    # The other rows' defects lie in 1..degree-1 and all add to 2*degree - 2,
+    # so each row's lies in [low, high]: it has degree - high to degree - low
+    # parts.  Partitions are frozen, so equal rows of different data share one.
+    low = max(1, 2 * degree - 2 - (branch_points - 1) * (degree - 1))
+    high = min(degree - 1, 2 * degree - 1 - branch_points)
+    pool = [Partition(p) for p in _partitions(degree, degree, degree - high, degree - low)]
     defects = [p.defect for p in pool]
     for combo in _defect_combos(defects, 0, 2 * degree - 2, branch_points, degree - 1, []):
         yield BranchDatum(degree, tuple([pool[i] for i in combo]))

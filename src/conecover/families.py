@@ -20,6 +20,7 @@ how one sees that every composite degree carries exceptional data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,9 +168,9 @@ def all_instances(degree: int) -> list[FamilyInstance]:
         k = degree // 3
         if k >= 3 and k % 2 == 1:
             out.append(family_3k(k))
-    for r in range(2, degree):
-        if degree % r != 0:
-            continue
+    # the divisors r of degree with 1 < r < degree, ascending, found in pairs
+    small = [r for r in range(2, math.isqrt(degree) + 1) if degree % r == 0]
+    for r in small + [degree // r for r in reversed(small) if r * r != degree]:
         k = degree // r
         out.append(family_rk(r, k))
         for j1 in range(1, k):

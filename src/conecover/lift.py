@@ -17,7 +17,8 @@ each multiset of grid values is decided once.  An integer screen, from
 tables per row and grid value of the lifted non-unit entries and their
 `angles.round_scaled` terms, only drops grid lifts it proves admissible:
 a summed rounding cost above 1 means case A, and every other lift goes
-once to `angles.rules_scaled`, which `decide_admissible` also calls.
+once, as one table entry per row, to `angles.rules_scaled`, which joins
+the rows and which `decide_admissible` also calls.
 `classify` joins the search to the monodromy oracle into one verdict.
 """
 
@@ -163,29 +164,12 @@ def require_grid_bounds(max_numerator: int, max_denominator: int) -> None:
 def _row_table(parts: Sequence[int], nums: Sequence[int], scale: int) -> list[tuple]:
     # For each grid value nums[i] / scale, the non-unit entries m * nums[i]
     # that a row with these parts lifts it to, shifted by -scale, after
-    # their `round_scaled` cost, parity and flip.
+    # their `round_scaled` cost, parity and flip: a row of `rules_scaled`.
     table = []
     for x in nums:
         shifted = tuple(m * x - scale for m in parts if m * x != scale)
         table.append((*round_scaled(shifted, scale)[1:], shifted))
     return table
-
-
-def _lift_case(tables: Sequence[list[tuple]], idx: tuple[int, ...], scale: int) -> str:
-    # The admissibility case of the lift, through the rows of the tables, of
-    # the grid vector whose entry r is grid value idx[r].  The rows' costs
-    # and parities add, the flip is their least, and the entries concatenate.
-    cost = parity = 0
-    flip = scale
-    shifted: list[int] = []
-    for table, i in zip(tables, idx):
-        k, p, f, entries = table[i]
-        cost += k
-        parity ^= p
-        if f < flip:
-            flip = f
-        shifted += entries
-    return rules_scaled(shifted, cost, parity, flip, scale)[0]
 
 
 @lru_cache(maxsize=None)
@@ -202,10 +186,10 @@ def _admissible_grid(n: int, max_numerator: int, max_denominator: int
     # by the sum of (n + 1) ** i over its indices: no index repeats more than
     # n times, so no two multisets share a key.
     values, scale, nums = _grid(max_numerator, max_denominator)
-    tables = [_row_table((1,), nums, scale)] * n
+    rows = _row_table((1,), nums, scale)
     weights = [(n + 1) ** i for i in range(len(values))]
     admissible = {sum(map(weights.__getitem__, idx)):
-                  _lift_case(tables, idx, scale) != CASE_NONE
+                  rules_scaled(map(rows.__getitem__, idx), scale)[0] != CASE_NONE
                   for idx in itertools.combinations_with_replacement(range(len(values)), n)}
     runs = []
     for q in range(1, max_denominator + 1):
@@ -247,7 +231,7 @@ def _grid_candidates(datum: BranchDatum, max_numerator: int, max_denominator: in
     # distance is at least the summed rounding cost, and an entry costs at
     # most half the grid's denominator.  So a lift whose summed row cost
     # exceeds that denominator has three or more non-unit entries and is case
-    # A: it is skipped.  The rest are decided by `_lift_case`.
+    # A: it is skipped.  The rest go to `rules_scaled`, one row per table.
     values, scale, nums = _grid(max_numerator, max_denominator)
     tables = [_row_table(row.parts, nums, scale) for row in datum.rows]
     costs = [[term[0] for term in table] for table in tables]
@@ -258,7 +242,7 @@ def _grid_candidates(datum: BranchDatum, max_numerator: int, max_denominator: in
             if last_cost[i] > room:
                 continue
             idx = prefix + (i,)
-            if _lift_case(tables, idx, scale) == CASE_NONE:
+            if rules_scaled(map(getitem, tables, idx), scale)[0] == CASE_NONE:
                 yield tuple(values[i] for i in idx)
 
 

@@ -135,15 +135,15 @@ def check_scaled(beta, scale):
     """rules_scaled over `scale` against decide_admissible and the reference.
 
     The non-unit entries over `scale`, shifted by -scale, are rounded by
-    round_scaled and decided by rules_scaled.  Returns the verdict, or None
-    where the odd-lattice distance is exactly 1 and the boundary cases B, C
-    and D decide.
+    round_scaled and decided by rules_scaled as one row.  Returns the
+    verdict, or None where the odd-lattice distance is exactly 1 and the
+    boundary cases B, C and D decide.
     """
     verdict = decide_admissible(beta)
     assert (verdict.admissible, verdict.case) == reference_admissible(beta)
     shifted = [v - scale for v in scaled_numerators(beta, scale) if v != scale]
     nearest, cost, parity, flip = round_scaled(shifted, scale)
-    case, why, distance, coaxial = rules_scaled(shifted, cost, parity, flip, scale)
+    case, why, distance, coaxial = rules_scaled([(cost, parity, flip, shifted)], scale)
     assert case == verdict.case
     assert coaxial == verdict.coaxial
     assert (None if why is None else why[0].format(F(why[1], scale))) == verdict.reason
@@ -293,6 +293,23 @@ def test_coaxial_witness_ignores_the_scale(beta, factor):
     # the grid walk decides lifts over 60, a multiple of their least
     # denominator; eta and b must come out reduced all the same
     check_scaled(beta, math.lcm(*(F(b).denominator for b in beta)) * factor)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(angle_vectors(), mixed_distance_one()), st.integers(min_value=1, max_value=3),
+       st.lists(st.integers(min_value=0, max_value=8), max_size=3))
+@example((2, 2), 1, [1])                    # two odd rows: even parity, distance 1
+@example((2, F(1, 2)), 1, [1])              # the least flip is the second row's
+def test_rules_join_rows(beta, factor, cuts):
+    # the search passes a lift as rows rounded apart; rules_scaled must join
+    # them into what one row of the whole vector gives
+    scale = math.lcm(*(F(b).denominator for b in beta)) * factor
+    shifted = [v - scale for v in scaled_numerators(beta, scale) if v != scale]
+    ends = sorted(min(c, len(shifted)) for c in cuts)
+    rows = [(*round_scaled(shifted[i:j], scale)[1:], shifted[i:j])
+            for i, j in zip([0] + ends, ends + [len(shifted)])]
+    whole = (*round_scaled(shifted, scale)[1:], shifted)
+    assert rules_scaled(rows, scale) == rules_scaled([whole], scale)
 
 
 # ----------------------------------------------------------------- decide

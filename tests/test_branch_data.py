@@ -1,6 +1,7 @@
 """Partitions, branch data, validation, enumeration, and the text format."""
 
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -152,6 +153,13 @@ def test_enumerate_two_rows_is_pair_of_full_cycles():
     assert list(enumerate_data(5, 1)) == []
     for d in range(2, 9):
         assert list(enumerate_data(d, 2)) == [BranchDatum(d, ((d,), (d,)))]
+    # only rows that can occur are built: degree 100 has 190,569,292 partitions
+    start = time.perf_counter()
+    assert list(enumerate_data(100, 2)) == [BranchDatum(100, ((100,), (100,)))]
+    # at 2d - 2 points every row is a transposition
+    assert list(enumerate_data(100, 198)) == [BranchDatum(100, ((2,) + (1,) * 98,) * 198)]
+    assert list(enumerate_data(100, 199)) == []
+    assert time.perf_counter() - start < 1
 
 
 def test_enumerated_data_share_partitions():

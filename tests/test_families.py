@@ -1,5 +1,6 @@
 """Known exceptional families and the composite-degree witness."""
 
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -137,6 +138,13 @@ def test_all_instances_refuses_a_degree_below_two():
     for degree in (1, 0, -3):
         with pytest.raises(ValueError, match=f"degree must be at least 2, got {degree}"):
             all_instances(degree)
+
+
+def test_all_instances_of_a_large_prime_is_quick():
+    # divisors are found in pairs up to the square root, not by trying every r
+    start = time.perf_counter()
+    assert all_instances(1_000_000_007) == []
+    assert time.perf_counter() - start < 1
 
 
 def test_all_instances_certify_through_degree_twelve():

@@ -245,7 +245,8 @@ def test_screen_is_only_a_filter(monkeypatch):
     # alone still picks the same first certificate and still finds none; the
     # grid is built first, since building it runs the screen too
     lift_mod._admissible_grid(3, 6, 6)
-    monkeypatch.setattr(lift_mod, "_lift_case", lambda *args: lift_mod.CASE_NONE)
+    monkeypatch.setattr(lift_mod, "rules_scaled",
+                        lambda *args: (lift_mod.CASE_NONE, None, None, None))
     cert = search_certificate(parse_datum("8: 4,4 | 3,2,2,1 | 2,2,2,2"))
     assert cert is not None
     assert cert.witness_beta == (F(1, 4), F(1, 3), F(1, 2))
@@ -288,8 +289,8 @@ def test_grid_matches_brute_force(n, max_numerator, max_denominator):
 def test_grid_decides_each_multiset_once(monkeypatch):
     # the 23 values of the 6/6 grid make C(22 + n, n) multisets of n entries
     calls = []
-    decide = lift_mod._lift_case
-    monkeypatch.setattr(lift_mod, "_lift_case", lambda *args: calls.append(1) or decide(*args))
+    decide = lift_mod.rules_scaled
+    monkeypatch.setattr(lift_mod, "rules_scaled", lambda *args: calls.append(1) or decide(*args))
     for n, multisets in ((2, 276), (3, 2300), (4, 14950)):
         calls.clear()
         lift_mod._admissible_grid.__wrapped__(n, 6, 6)
@@ -327,9 +328,9 @@ def test_row_screen_matches_full_decision(lift):
     rows, beta, scale = lift
     nums = scaled_numerators(beta, scale)
     tables = [lift_mod._row_table(parts, nums, scale) for parts in rows]
-    idx = tuple(range(len(rows)))
     case = reference_lift_decision(nums, rows, scale)
-    assert lift_mod._lift_case(tables, idx, scale) == case
+    lifted_rows = [table[r] for r, table in enumerate(tables)]
+    assert lift_mod.rules_scaled(lifted_rows, scale)[0] == case
 
 
 def certificates_digest(degrees, n):
