@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -220,7 +219,6 @@ def _partitions(total: int, max_part: int, fewest: int, most: int
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n as non-increasing tuples, reverse-lex order."""
     if n < 1:
@@ -251,28 +249,31 @@ def enumerate_data(degree: int, branch_points: int) -> Iterator[BranchDatum]:
     high = min(degree - 1, 2 * degree - 1 - branch_points)
     pool = [Partition(p) for p in _partitions(degree, degree, degree - high, degree - low)]
     defects = [p.defect for p in pool]
-    for combo in _defect_combos(defects, 0, 2 * degree - 2, branch_points, degree - 1, []):
+    for combo in _defect_combos(defects, 0, 2 * degree - 2, branch_points, degree - 1, ()):
         yield BranchDatum(degree, tuple([pool[i] for i in combo]))
 
 
 def _defect_combos(defects: list[int], start: int, left: int, remaining: int,
-                   most: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+                   most: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # Non-decreasing extensions of acc by `remaining` indices from `start` on
-    # whose defects sum to `left`; each defect lies in 1..most, so a branch
-    # that cannot reach `left` is cut before it is entered.
-    if remaining == 0:
-        if left == 0:
-            yield tuple(acc)
-        return
-    if left < remaining or left > remaining * most:
-        return
-    for i in range(start, len(defects)):
+    # whose defects sum to `left`, in lexicographic order.  Each index comes
+    # with all its copies at once, most first, so the depth is the number of
+    # distinct indices.  Each defect lies in 1..most and together they exceed
+    # 1 by left - remaining, so a branch that cannot reach `left` is cut
+    # before it is entered.
+    last = len(defects) - 1
+    for i in range(start, last + 1):
         df = defects[i]
-        if df > left - (remaining - 1):
+        if df * remaining == left:
+            yield acc + (i,) * remaining
+        if remaining == 1 or i == last or df > left - (remaining - 1):
             continue
-        acc.append(i)
-        yield from _defect_combos(defects, i, left - df, remaining - 1, most, acc)
-        acc.pop()
+        fewer = remaining - 1 if df == 1 else min(remaining - 1, (left - remaining) // (df - 1))
+        for copies in range(fewer, 0, -1):
+            rest = left - copies * df
+            if rest <= (remaining - copies) * most:
+                yield from _defect_combos(defects, i + 1, rest, remaining - copies, most,
+                                          acc + (i,) * copies)
 
 
 _TOKEN = re.compile(r"\d+|\S")

@@ -11,8 +11,8 @@ T > 0.  Frobenius' formula gives N from the characters chi of S_d,
 where |C_i| chi(mu_i) / chi(1) is a central character value, an integer,
 so the sum is exact in integers.  The characters come from the
 Murnaghan-Nakayama rule on beta numbers.  They depend on S_d alone, so
-each process keeps, on first use, the dimensions and each cycle type's
-central characters as lists over the shapes of S_d.  Recursion on the
+each process keeps, on first use, the shapes of S_d, their dimensions
+and each cycle type's central characters over them.  Recursion on the
 orbit of the point 1 gives T (Mednykh, Sib. Math. J. 25, 1984;
 Lando-Zvonkin, Graphs on Surfaces and Their Applications, App. A):
 
@@ -44,8 +44,8 @@ def _dimension(shape: tuple[int, ...]) -> int:
     return factorial(sum(shape)) * spread // prod(factorial(b) for b in beta)
 
 
-# degree -> (dimensions, {cycle type: central characters}), over `partitions_of`
-_TABLES: dict[int, tuple[list[int], dict]] = {}
+# degree -> (shapes `partitions_of(degree)`, dimensions, {cycle type: central characters})
+_TABLES: dict[int, tuple[tuple, list[int], dict]] = {}
 
 
 class TupleCounts:
@@ -102,10 +102,10 @@ class TupleCounts:
         key = (degree, rows)
         value = self._product_one.get(key)
         if value is None:
-            shapes = partitions_of(degree)
             if degree not in _TABLES:
-                _TABLES[degree] = ([_dimension(shape) for shape in shapes], {})
-            dims, central = _TABLES[degree]
+                shapes = partitions_of(degree)
+                _TABLES[degree] = (shapes, [_dimension(shape) for shape in shapes], {})
+            shapes, dims, central = _TABLES[degree]
             for row in rows:
                 if row not in central:
                     # |C| chi(C) / chi(1) is a central character value, an integer.

@@ -11,14 +11,15 @@ recheck with the admissibility decision alone.
 One rule, `certify_exceptional`, decides every candidate of the search,
 and the verifier accepts a certificate only when that rule, rerun, gives
 it back unchanged.  `search_certificate` streams family seeds, extra
-candidates, then a cached grid of small fractions kept as runs of index
-tuples that differ only in their last entry; no rule reads the order, so
-each multiset of grid values is decided once.  An integer screen, from
-tables per row and grid value of the lifted non-unit entries and their
-`angles.round_scaled` terms, only drops grid lifts it proves admissible:
-a summed rounding cost above 1 means case A, and every other lift goes
-once, as one table entry per row, to `angles.rules_scaled`, which joins
-the rows and which `decide_admissible` also calls.
+candidates, then one cached grid per row count: small fractions and the
+admissible base vectors over them, as runs of index tuples that differ
+only in their last entry; no rule reads the order, so each multiset of
+grid values is decided once.  An integer screen, from tables per row and
+grid value of the lifted non-unit entries and their `round_scaled`
+terms, only drops grid lifts it proves admissible: a summed rounding
+cost above 1 means case A, and every other lift goes once, as one table
+entry per row, to `angles.rules_scaled`, which joins the rows and which
+`decide_admissible` also calls.
 `classify` joins the search to the monodromy oracle into one verdict.
 """
 
@@ -143,17 +144,6 @@ def verify_certificate(cert: ExceptionalityCertificate) -> bool:
         return False
 
 
-@lru_cache(maxsize=None)
-def _grid(max_numerator: int, max_denominator: int
-          ) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
-    # The grid's values p/q ascending, their least common denominator (the
-    # scale), and each value's numerator over the scale.
-    values = tuple(sorted({Fraction(p, q) for p in range(1, max_numerator + 1)
-                           for q in range(1, max_denominator + 1)}))
-    scale = math.lcm(*range(1, max_denominator + 1))
-    return values, scale, tuple(scaled_numerators(values, scale))
-
-
 def require_grid_bounds(max_numerator: int, max_denominator: int) -> None:
     """Raise ValueError unless both grid bounds are at least 1."""
     if max_numerator < 1 or max_denominator < 1:
@@ -173,19 +163,21 @@ def _row_table(parts: Sequence[int], nums: Sequence[int], scale: int) -> list[tu
 
 
 @lru_cache(maxsize=None)
-def _admissible_grid(n: int, max_numerator: int, max_denominator: int
-                     ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    # Candidate base vectors, as index tuples into the grid values, ordered by
-    # (largest denominator, lexicographic) and pre-filtered to the admissible
-    # ones; inadmissible bases never certify.  They are kept as runs
-    # (prefix, lasts): the vectors prefix + (i,) for i in lasts, ascending,
-    # so that flattening the runs lists the grid.  The vectors whose largest
-    # denominator is q come out in order from the lexicographic product of
-    # the values with denominator <= q.  Every rule reads the entries
+def _grid(n: int, max_numerator: int, max_denominator: int) -> tuple:
+    # The search's one table per row count n: the grid's values p/q
+    # ascending, their common denominator (the scale), each value's numerator
+    # over the scale, and the admissible base vectors of n entries (no other
+    # base certifies) as runs (prefix, lasts) of index tuples into the values:
+    # the vectors prefix + (i,) for i in lasts, ascending, in grid order, by
+    # largest denominator q and then lexicographically, as the product of the
+    # values with denominator <= q gives them.  Every rule reads the entries
     # without their order, so each multiset of indices is decided once, keyed
     # by the sum of (n + 1) ** i over its indices: no index repeats more than
     # n times, so no two multisets share a key.
-    values, scale, nums = _grid(max_numerator, max_denominator)
+    values = tuple(sorted({Fraction(p, q) for p in range(1, max_numerator + 1)
+                           for q in range(1, max_denominator + 1)}))
+    scale = math.lcm(*range(1, max_denominator + 1))
+    nums = tuple(scaled_numerators(values, scale))
     rows = _row_table((1,), nums, scale)
     weights = [(n + 1) ** i for i in range(len(values))]
     admissible = {sum(map(weights.__getitem__, idx)):
@@ -202,7 +194,7 @@ def _admissible_grid(n: int, max_numerator: int, max_denominator: int
             lasts = tuple(i for i in tops if admissible[key + weights[i]])
             if lasts:
                 runs.append((prefix, lasts))
-    return tuple(runs)
+    return values, scale, nums, tuple(runs)
 
 
 def _family_candidates(datum: BranchDatum) -> list[tuple[Fraction, ...]]:
@@ -232,11 +224,11 @@ def _grid_candidates(datum: BranchDatum, max_numerator: int, max_denominator: in
     # most half the grid's denominator.  So a lift whose summed row cost
     # exceeds that denominator has three or more non-unit entries and is case
     # A: it is skipped.  The rest go to `rules_scaled`, one row per table.
-    values, scale, nums = _grid(max_numerator, max_denominator)
+    values, scale, nums, runs = _grid(len(datum.rows), max_numerator, max_denominator)
     tables = [_row_table(row.parts, nums, scale) for row in datum.rows]
     costs = [[term[0] for term in table] for table in tables]
     last_cost = costs[-1]
-    for prefix, lasts in _admissible_grid(len(tables), max_numerator, max_denominator):
+    for prefix, lasts in runs:
         room = scale - sum(map(getitem, costs, prefix))
         for i in lasts:
             if last_cost[i] > room:

@@ -290,14 +290,19 @@ def _transitive_count(degree: int, rows: Sequence[Partition]) -> int:
 def _fill(assign: list, positions: Sequence[int], rows: Sequence[Partition],
           d: int) -> Iterator[None]:
     # Yields once per filling of assign[positions] by members of their
-    # classes, in class order with the last position running fastest.
-    if not positions:
-        yield
-        return
-    pos = positions[0]
-    for images in _class_images(rows[pos], d):
-        assign[pos] = images
-        yield from _fill(assign, positions[1:], rows, d)
+    # classes, in class order with the last position running fastest.  The
+    # filled positions' class generators wait on a list, not in recursion.
+    members = []
+    while True:
+        if len(members) < len(positions):
+            members.append(_class_images(rows[positions[len(members)]], d))
+        else:
+            yield
+        while members and (images := next(members[-1], None)) is None:
+            members.pop()
+        if not members:
+            return
+        assign[positions[len(members) - 1]] = images
 
 
 def find_witness(datum: BranchDatum, budget: int | None = DEFAULT_BUDGET) -> OracleResult:

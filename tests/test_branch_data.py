@@ -1,5 +1,6 @@
 """Partitions, branch data, validation, enumeration, and the text format."""
 
+import hashlib
 import json
 import time
 
@@ -159,7 +160,24 @@ def test_enumerate_two_rows_is_pair_of_full_cycles():
     # at 2d - 2 points every row is a transposition
     assert list(enumerate_data(100, 198)) == [BranchDatum(100, ((2,) + (1,) * 98,) * 198)]
     assert list(enumerate_data(100, 199)) == []
+    # the combinations add each row with all its copies, so 998 equal rows
+    # cost one level of recursion, not 998
+    assert list(enumerate_data(500, 998)) == [BranchDatum(500, ((2,) + (1,) * 498,) * 998)]
     assert time.perf_counter() - start < 1
+
+
+def test_enumerate_stream_is_frozen():
+    # `catalog` prints data in this order, and the realize inputs follow it
+    digest = hashlib.sha256()
+    count = 0
+    for d in range(2, 11):
+        for k in range(1, 2 * d - 1):
+            for datum in enumerate_data(d, k):
+                digest.update(json.dumps(datum.to_json()).encode() + b"\n")
+                count += 1
+    assert count == 52599
+    assert digest.hexdigest() == (
+        "3e84bf50f730c8b239054c08331aa2cdbd61d21c8643f72cd50aa73a5696c289")
 
 
 def test_enumerated_data_share_partitions():

@@ -244,7 +244,7 @@ def test_screen_is_only_a_filter(monkeypatch):
     # with the integer screen passing every grid lift, the certificate rule
     # alone still picks the same first certificate and still finds none; the
     # grid is built first, since building it runs the screen too
-    lift_mod._admissible_grid(3, 6, 6)
+    lift_mod._grid(3, 6, 6)
     monkeypatch.setattr(lift_mod, "rules_scaled",
                         lambda *args: (lift_mod.CASE_NONE, None, None, None))
     cert = search_certificate(parse_datum("8: 4,4 | 3,2,2,1 | 2,2,2,2"))
@@ -255,8 +255,7 @@ def test_screen_is_only_a_filter(monkeypatch):
 
 def grid_vectors(n, max_numerator, max_denominator):
     # the grid's runs (prefix, lasts) flattened into its vectors, in order
-    values = lift_mod._grid(max_numerator, max_denominator)[0]
-    runs = lift_mod._admissible_grid(n, max_numerator, max_denominator)
+    values, _, _, runs = lift_mod._grid(n, max_numerator, max_denominator)
     return tuple(tuple(values[i] for i in prefix + (last,))
                  for prefix, lasts in runs for last in lasts)
 
@@ -293,7 +292,7 @@ def test_grid_decides_each_multiset_once(monkeypatch):
     monkeypatch.setattr(lift_mod, "rules_scaled", lambda *args: calls.append(1) or decide(*args))
     for n, multisets in ((2, 276), (3, 2300), (4, 14950)):
         calls.clear()
-        lift_mod._admissible_grid.__wrapped__(n, 6, 6)
+        lift_mod._grid.__wrapped__(n, 6, 6)
         assert len(calls) == multisets == math.comb(22 + n, n)
 
 
@@ -306,7 +305,7 @@ def grid_lifts(draw):
     rows = tuple(draw(st.lists(st.sampled_from(partitions_of(degree)),
                                min_size=n, max_size=n)))
     scale = draw(st.sampled_from((60, math.lcm(*range(1, 13)))))
-    values = [v for v in lift_mod._grid(12, 12)[0] if scale % v.denominator == 0]
+    values = [v for v in lift_mod._grid(1, 12, 12)[0] if scale % v.denominator == 0]
     beta = tuple(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
     return rows, beta, scale
 

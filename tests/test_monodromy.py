@@ -1,8 +1,11 @@
 """Permutation algebra, conjugacy classes, and the realizability oracle."""
 
+import functools
 import gc
+import importlib
 import json
 import math
+import pkgutil
 import time
 
 import pytest
@@ -26,6 +29,7 @@ from conecover import (
     search_certificate,
     verify_witness,
 )
+import conecover
 from conecover import counting, monodromy
 from conecover.branch_data import partitions_of
 from conecover.counting import TupleCounts
@@ -188,6 +192,33 @@ def test_oracle_budget_semantics():
     assert r.status == UNKNOWN and r.nodes == 2
     # a budget big enough to finish changes nothing
     assert find_witness(D9, budget=10**6).status == UNREALIZABLE
+
+
+def test_oracle_fills_many_rows_without_recursion():
+    # 598 enumerated transposition rows: their class generators wait on a
+    # list, so the budget ends the search, not the recursion limit
+    datum = BranchDatum(301, ((2,) + (1,) * 299,) * 600)
+    start = time.perf_counter()
+    result = find_witness(datum, budget=1000)
+    assert (result.status, result.nodes, result.witness) == (UNKNOWN, 1001, None)
+    assert time.perf_counter() - start < 5
+
+
+def test_package_keeps_one_cache():
+    # the grid search's table is the only lru_cache; the character count
+    # keeps its own table, shapes included
+    caches = []
+    for info in pkgutil.iter_modules(conecover.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"conecover.{info.name}")
+        caches += [f"{info.name}.{name}" for name, obj in vars(module).items()
+                   if isinstance(obj, functools._lru_cache_wrapper)
+                   and obj.__module__ == module.__name__]
+    assert caches == ["lift._grid"]
+    result = find_witness(parse_datum("10: 6,2,2 | 6,1,1,1,1 | 4,2,2,2"))
+    assert result.status == UNREALIZABLE
+    assert counting._TABLES[10][0] == partitions_of(10)
 
 
 def test_oracle_is_row_order_invariant():
